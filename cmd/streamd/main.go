@@ -13,7 +13,6 @@
 //	        [-max-sessions 0] [-workers N] [-cache-size MiB]
 //	        [-store-dir /var/lib/streamd] [-store-size MiB]
 //	        [-trace-dir /var/log/streamd] [-log-level info]
-//	        [-max-protocol 0]
 //	        [-faults latency=2ms,reset=65536,repeat,seed=7]
 //	streamd -store-dir /var/lib/streamd -fsck
 //
@@ -102,7 +101,6 @@ func main() {
 	storeDir := flag.String("store-dir", "", "persistent artifact store directory (empty = memory-only)")
 	storeSize := flag.Int64("store-size", 1024, "persistent store byte budget in MiB (0 = unlimited)")
 	fsck := flag.Bool("fsck", false, "verify the -store-dir store, quarantine corrupt entries, report and exit (non-zero on corruption)")
-	maxProto := flag.Int("max-protocol", 0, "answer requests above this protocol version with a bad-request error, like an older server would (0 = newest)")
 	faultSpec := flag.String("faults", "", "inject faults into accepted connections (e.g. latency=2ms,bw=65536,short,corrupt=0.001,reset=65536,repeat,seed=7)")
 	traceDir := flag.String("trace-dir", "", "append completed trace spans as JSONL to a per-process file in this directory")
 	logLevel := flag.String("log-level", "info", "log threshold (debug, info, warn, error)")
@@ -285,7 +283,6 @@ func main() {
 	}
 	s.SetObserver(reg)
 	s.SetMaxSessions(*maxSessions)
-	s.SetMaxProtocolVersion(*maxProto)
 	reg.RegisterReadiness("server", s.Ready)
 	ln, err := listen()
 	exitOn(err)

@@ -159,10 +159,16 @@ func TestDrainOnSIGTERM(t *testing.T) {
 		t.Fatal("drained stream delivered no frames")
 	}
 
+	// Read stdout to EOF before Wait: Wait closes the pipe, and any line
+	// still unread (msg=drained is among the last) would be lost.
+	select {
+	case <-scanDone:
+	case <-time.After(30 * time.Second):
+		t.Fatal("streamd output never reached EOF after the drain")
+	}
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("streamd exited with %v, want 0 after a clean drain", err)
 	}
-	<-scanDone
 	outMu.Lock()
 	all := strings.Join(lines, "\n")
 	outMu.Unlock()

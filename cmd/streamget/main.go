@@ -8,14 +8,13 @@
 //	streamget [-addr 127.0.0.1:7400] -clip returnoftheking
 //	          [-quality 0.10] [-device ipaq5555]
 //	          [-adaptive] [-battery-wh 7.4]
-//	          [-retries 5] [-read-timeout 10s] [-no-resume]
+//	          [-retries 5] [-read-timeout 10s]
 //	          [-log-level info]
 //
 // The client survives a lossy link: reads carry deadlines, failed
-// sessions reconnect with exponential backoff + jitter, and when the
-// server speaks protocol v2 or newer a reconnect resumes from the last
-// fully-decoded frame instead of replaying the clip. With -adaptive the
-// session speaks protocol v4 and walks the quality ladder live: the
+// sessions reconnect with exponential backoff + jitter, and a reconnect
+// resumes from the last fully-decoded frame instead of replaying the
+// clip. With -adaptive the session walks the quality ladder live: the
 // playout buffer's health (and, with -battery-wh, a draining battery
 // gauge) moves the rung at scene boundaries, degrading gracefully under
 // a throttled link instead of stalling. Every session ends with the
@@ -47,8 +46,7 @@ func main() {
 	deviceName := flag.String("device", "ipaq5555", "device profile")
 	retries := flag.Int("retries", 0, "max connection attempts (0 = default of 5)")
 	readTimeout := flag.Duration("read-timeout", 0, "per-read deadline on the stream (0 = default of 10s)")
-	noResume := flag.Bool("no-resume", false, "speak protocol v1 only (failures replay from frame 0)")
-	adaptiveMode := flag.Bool("adaptive", false, "walk the quality ladder live (protocol v4)")
+	adaptiveMode := flag.Bool("adaptive", false, "walk the quality ladder live")
 	batteryWh := flag.Float64("battery-wh", 0, "with -adaptive: watt-hours left in the battery (0 = no battery floor)")
 	logLevel := flag.String("log-level", "info", "structured event threshold (debug, info, warn, error)")
 	flag.Parse()
@@ -83,10 +81,9 @@ func main() {
 	}
 
 	client := &stream.Client{
-		Device:        dev,
-		Retry:         stream.RetryPolicy{MaxAttempts: *retries},
-		ReadTimeout:   *readTimeout,
-		DisableResume: *noResume,
+		Device:      dev,
+		Retry:       stream.RetryPolicy{MaxAttempts: *retries},
+		ReadTimeout: *readTimeout,
 	}
 	if *adaptiveMode {
 		cfg := &adaptive.LadderConfig{}
@@ -103,13 +100,12 @@ func main() {
 
 	fmt.Printf("clip              %s @ %.0f%% quality on %s\n", *clip, *quality*100, dev.Name)
 	if res.Retries > 0 || res.Resumes > 0 {
-		fmt.Printf("resilience        %d retries, %d mid-clip resumes (protocol v%d)\n",
-			res.Retries, res.Resumes, res.ProtocolVersion)
+		fmt.Printf("resilience        %d retries, %d mid-clip resumes\n", res.Retries, res.Resumes)
 	}
 	if len(res.Degraded) > 0 {
 		fmt.Printf("degraded          dropped side channels: %s\n", strings.Join(res.Degraded, ", "))
 	}
-	if *adaptiveMode && res.ProtocolVersion >= 4 {
+	if *adaptiveMode {
 		fmt.Printf("quality ladder    %d switches, finished on rung %d (%.0f%% clipping), worst lag %.2fs\n",
 			res.QualitySwitches, res.FinalRung, compensate.QualityLevels[res.FinalRung]*100, res.MaxLagSeconds)
 		if res.Ledger != nil && len(res.Ledger.RungSeconds) > 0 {

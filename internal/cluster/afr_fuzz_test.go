@@ -26,7 +26,7 @@ func FuzzReadFetchRequest(f *testing.F) {
 	f.Add([]byte("AFR1\x05trac"))              // truncated kind
 	f.Add([]byte("AFR1\xfftrack"))             // kind length over bound
 	f.Add([]byte("AFR1\x01k\xff\xffd"))        // digest length over bound
-	f.Add([]byte("RQS1\x80\x00\x03abc"))       // a client request, not a fetch
+	f.Add([]byte("RQS4\x80\x00\x03abc"))       // a client request, not a fetch
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := ReadFetchRequest(bytes.NewReader(data))
 		if err != nil {

@@ -30,11 +30,7 @@ func playRecorded(t *testing.T, client *Client, addr string) (*PlayResult, []uin
 	var digests []uint64
 	var levels []int
 	client.OnFrame = func(i int, f *frame.Frame, backlight int) {
-		if i == 0 {
-			// A v1 replay restarts delivery from frame zero; a v2 resume
-			// never does.
-			digests, levels = digests[:0], levels[:0]
-		}
+		// A resume never restarts delivery: indexes run 0, 1, 2, ...
 		if i != len(digests) {
 			t.Errorf("OnFrame index %d, want %d (duplicate or skipped emit)", i, len(digests))
 		}
@@ -51,8 +47,8 @@ func playRecorded(t *testing.T, client *Client, addr string) (*PlayResult, []uin
 // TestChaosResumeBitIdentical is the end-to-end resilience check: a
 // seeded fault schedule (latency, bandwidth throttle, short writes, two
 // mid-stream resets) must not change what the user sees. The client
-// reconnects with backoff, resumes mid-clip via the v2 start_frame
-// extension, and the decoded frame sequence and backlight schedule come
+// reconnects with backoff, resumes mid-clip via the request's
+// start_frame, and the decoded frame sequence and backlight schedule come
 // out bit-identical to a fault-free run.
 func TestChaosResumeBitIdentical(t *testing.T) {
 	_, addr := startServer(t)
@@ -93,9 +89,6 @@ func TestChaosResumeBitIdentical(t *testing.T) {
 	if res.Resumes != 2 {
 		t.Errorf("resumes = %d, want 2", res.Resumes)
 	}
-	if res.ProtocolVersion != 3 {
-		t.Errorf("protocol version = %d, want 3", res.ProtocolVersion)
-	}
 	for i := range wantDigests {
 		if gotDigests[i] != wantDigests[i] {
 			t.Fatalf("frame %d decoded differently under faults", i)
@@ -113,43 +106,6 @@ func TestChaosResumeBitIdentical(t *testing.T) {
 	}
 	if n := reg.Counter("stream_client_resumes_total", "").Value(); n == 0 {
 		t.Error("stream_client_resumes_total = 0, want nonzero")
-	}
-}
-
-// TestChaosResumeDisabledStillCompletes pins the v1 degraded path: with
-// resume off, every reset replays the clip from frame zero, and the
-// output must still be identical.
-func TestChaosResumeDisabledStillCompletes(t *testing.T) {
-	_, addr := startServer(t)
-	clean, wantDigests, _ := playRecorded(t, &Client{Device: display.IPAQ5555()}, addr)
-
-	inj := faults.NewInjector(faults.Config{
-		Seed:       11,
-		ResetAfter: []int64{int64(clean.BytesStream) / 2},
-	})
-	client := &Client{
-		Device:        display.IPAQ5555(),
-		DisableResume: true,
-		Dial:          inj.Dialer(nil),
-		Retry:         RetryPolicy{MaxAttempts: 4, BaseDelay: 5 * time.Millisecond},
-	}
-	res, gotDigests, _ := playRecorded(t, client, addr)
-	if res.ProtocolVersion != 1 {
-		t.Errorf("protocol version = %d, want 1", res.ProtocolVersion)
-	}
-	if res.Resumes != 0 {
-		t.Errorf("resumes = %d, want 0 with resume disabled", res.Resumes)
-	}
-	if res.Retries == 0 {
-		t.Error("retries = 0, want at least one after the injected reset")
-	}
-	if len(gotDigests) != len(wantDigests) {
-		t.Fatalf("got %d frames, want %d", len(gotDigests), len(wantDigests))
-	}
-	for i := range wantDigests {
-		if gotDigests[i] != wantDigests[i] {
-			t.Fatalf("frame %d decoded differently after v1 replay", i)
-		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -53,15 +52,11 @@ type PlayResult struct {
 	ServerLevels bool
 	// Retries counts reconnection attempts after a session failure.
 	Retries int
-	// Resumes counts reconnections that continued mid-clip via the v2
-	// start_frame extension instead of replaying from frame zero.
+	// Resumes counts reconnections that continued mid-clip via the
+	// request's start frame instead of replaying from frame zero.
 	Resumes int
-	// ProtocolVersion is the request framing the session settled on
-	// (4 for adaptive sessions, otherwise 3, stepping down to 2 then 1
-	// against older servers).
-	ProtocolVersion int
 	// QualitySwitches counts the mid-stream rung changes of an adaptive
-	// (v4) session, as announced by the server's in-band markers.
+	// session, as announced by the server's in-band markers.
 	QualitySwitches int
 	// FinalRung is the quality rung in force when an adaptive session
 	// ended (the requested rung when nothing switched; 0 for fixed
@@ -158,16 +153,11 @@ type Client struct {
 	// ReadTimeout is the per-read deadline on the stream connection
 	// (default 10s; a stalled link fails fast and triggers a retry).
 	ReadTimeout time.Duration
-	// DisableResume forces protocol v1 (no start_frame): failures
-	// replay the clip from the beginning.
-	DisableResume bool
-	// Ladder, when set, negotiates an adaptive (v4) session: the client
+	// Ladder, when set, negotiates an adaptive session: the client
 	// runs the quality-ladder control loop, walking rungs down under
 	// playout-buffer pressure or battery drain and back up after
 	// recovery (StartRung is derived from the requested quality and may
-	// be left zero). Against an older server the client falls back to a
-	// fixed v3 session, recording a "ladder" degradation. Ignored when
-	// DisableResume forces v1.
+	// be left zero).
 	Ladder *adaptive.LadderConfig
 	// Dial overrides the dial function (tests inject faulty links).
 	Dial func(network, addr string) (net.Conn, error)
@@ -182,44 +172,31 @@ func (c *Client) Play(addr, clip string, quality float64) (*PlayResult, error) {
 	return c.PlayContext(context.Background(), addr, clip, quality)
 }
 
-// errDowngrade signals that the server rejected the current framing and
-// the attempt should be repeated one protocol version lower.
-var errDowngrade = errors.New("stream: server wants an older protocol")
-
 // PlayContext is Play under a context: cancelling ctx aborts the
 // session, including any backoff wait. The session survives transient
-// failures by reconnecting with exponential backoff and, when the server
-// speaks protocol v2, resuming from the last fully-decoded frame.
+// failures by reconnecting with exponential backoff and resuming from
+// the last fully-decoded frame.
 func (c *Client) PlayContext(ctx context.Context, addr, clip string, quality float64) (*PlayResult, error) {
 	if c.Device == nil {
 		return nil, fmt.Errorf("stream: client has no device profile")
 	}
 	retry := c.Retry.withDefaults()
 	s := &session{
-		res:     &PlayResult{Trace: &power.Trace{}, Ref: &power.Trace{}, ProtocolVersion: 3},
+		res:     &PlayResult{Trace: &power.Trace{}, Ref: &power.Trace{}},
 		level:   display.MaxLevel,
 		prev:    -1,
 		quality: quality,
 		ceilQi:  -1,
 		ledger:  power.NewLedger(c.Device),
 	}
-	switch {
-	case c.DisableResume:
-		s.res.ProtocolVersion = 1
-	case c.Ladder != nil:
-		s.adaptive = true
-		s.res.ProtocolVersion = 4
-	}
 	retriesTotal := c.Obs.Counter("stream_client_retries_total",
 		"Reconnection attempts after a stream session failure.")
 	resumesTotal := c.Obs.Counter("stream_client_resumes_total",
-		"Sessions continued mid-clip via the start_frame extension.")
-	degradedTotal := c.Obs.Counter("stream_client_degraded_total",
-		"Side channels dropped in favour of degraded playback.")
+		"Sessions continued mid-clip via the request's start frame.")
 
 	// The whole playback session is one trace, rooted here; every
-	// connection attempt, and (via the v3 header) the proxy and server
-	// work on the other side of the wire, hang off this span.
+	// connection attempt, and (via the request's trace context) the proxy
+	// and server work on the other side of the wire, hang off this span.
 	ctx = obs.WithRegistry(ctx, c.Obs)
 	ctx, playSp := obs.StartTrace(ctx, "client.play")
 	defer playSp.End()
@@ -249,25 +226,6 @@ func (c *Client) PlayContext(ctx context.Context, addr, clip string, quality flo
 		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
-		}
-		if errors.Is(err, errDowngrade) {
-			// Older server: repeat immediately one framing down (4 → 3 →
-			// 2 → 1). The downgrade consumes no retry budget — nothing
-			// failed, the peers were negotiating.
-			switch {
-			case s.res.ProtocolVersion >= 4:
-				// The server predates the adaptive ladder: play a fixed
-				// v3 session at the requested quality instead.
-				s.adaptive = false
-				s.degrade("ladder", degradedTotal)
-				s.res.ProtocolVersion = 3
-			case s.res.ProtocolVersion >= 3:
-				s.res.ProtocolVersion = 2
-			default:
-				s.res.ProtocolVersion = 1
-			}
-			attempt--
-			continue
 		}
 		lastErr = err
 		if !retryable(err) {
@@ -328,15 +286,13 @@ type session struct {
 	levelSum float64
 	lumaSum  float64
 	degraded map[string]bool
-	// Adaptive-ladder state (protocol v4). adaptive flips off if the
-	// server rejects v4. curQi is the rung the server is serving (marker
-	// driven); ceilQi the originally requested rung (-1 until the first
-	// header); reqRung the rung last asked of the server; primed gates
-	// ladder decisions until the playout buffer has once filled to the
-	// down-switch threshold, so a fresh stream does not read its own
+	// Adaptive-ladder state. curQi is the rung the server is serving
+	// (marker driven); ceilQi the originally requested rung (-1 until the
+	// first header); reqRung the rung last asked of the server; primed
+	// gates ladder decisions until the playout buffer has once filled to
+	// the down-switch threshold, so a fresh stream does not read its own
 	// startup as congestion. qualities is the track's quality column,
 	// kept so a resume can re-request the rung in force.
-	adaptive  bool
 	curQi     int
 	ceilQi    int
 	reqRung   int
@@ -364,7 +320,7 @@ func (s *session) degrade(what string, total *obs.Counter) {
 
 // attempt runs one connection: negotiate (resuming at s.emitted when the
 // session already delivered frames), then decode and account frames.
-// resumed reports whether this attempt continued mid-clip via v2.
+// resumed reports whether this attempt continued mid-clip.
 func (c *Client) attempt(ctx context.Context, s *session, addr, clip string) (resumed bool, err error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "client.attempt")
 	defer sp.End()
@@ -394,55 +350,30 @@ func (c *Client) attempt(ctx context.Context, s *session, addr, clip string) (re
 	conn := &deadlineConn{Conn: rawConn, readTimeout: readTimeout, writeTimeout: readTimeout}
 
 	req := Request{
-		Clip:    clip,
-		Quality: s.quality,
-		Device:  c.Device.Name,
-		Mode:    ModeAnnotated,
-		Version: s.res.ProtocolVersion,
-	}
-	if s.adaptive && req.Version >= 4 {
-		req.Adaptive = true
-		if s.qualities != nil && s.curQi < len(s.qualities) {
-			// Resuming mid-ladder: re-request the rung in force when the
-			// connection died. The fresh session's ceiling is that rung —
-			// recovery past it waits for the next full session.
-			req.Quality = s.qualities[s.curQi]
-		}
-	}
-	if req.Version >= 3 {
+		Clip:       clip,
+		Quality:    s.quality,
+		Device:     c.Device.Name,
+		Mode:       ModeAnnotated,
+		StartFrame: s.emitted,
+		Adaptive:   c.Ladder != nil,
 		// Hand the attempt span's context across the wire so the
 		// proxy/server session joins this trace.
-		req.Trace = obs.SpanContextFrom(ctx)
+		Trace: obs.SpanContextFrom(ctx),
 	}
-	if req.Version >= 2 {
-		req.StartFrame = s.emitted
-	} else if s.emitted > 0 {
-		// v1 cannot resume: replay the whole clip from scratch.
-		s.restart()
+	if req.Adaptive && s.qualities != nil && s.curQi < len(s.qualities) {
+		// Resuming mid-ladder: re-request the rung in force when the
+		// connection died. The fresh session's ceiling is that rung —
+		// recovery past it waits for the next full session.
+		req.Quality = s.qualities[s.curQi]
 	}
 	if err := WriteRequest(conn, req); err != nil {
 		return false, fmt.Errorf("%w: %v", ErrTruncatedStream, err)
 	}
-	resumed = req.Version >= 2 && req.StartFrame > 0
+	resumed = req.StartFrame > 0
 	if req.Adaptive {
 		return resumed, c.consumeAdaptive(ctx, s, conn, req)
 	}
 	return resumed, c.consume(ctx, s, conn, req)
-}
-
-// restart throws away accumulated playback state (a v1 replay).
-func (s *session) restart() {
-	s.res.Frames = 0
-	s.res.Switches = 0
-	s.res.Trace = &power.Trace{}
-	s.res.Ref = &power.Trace{}
-	s.emitted = 0
-	s.level = display.MaxLevel
-	s.prev = -1
-	s.sceneIdx = 0
-	s.levelSum = 0
-	s.lumaSum = 0
-	s.ledger.Reset()
 }
 
 // consume parses the response stream, emitting each clip frame exactly
@@ -458,11 +389,6 @@ func (c *Client) consume(ctx context.Context, s *session, r io.Reader, req Reque
 		return fmt.Errorf("%w: %v", ErrTruncatedStream, err)
 	}
 	if remoteErr != nil {
-		if req.Version >= 2 && strings.Contains(remoteErr.Error(), "bad request") {
-			// An old server cannot parse the v2 magic and answers "bad
-			// request": fall back to the v1 framing.
-			return errDowngrade
-		}
 		return remoteErr
 	}
 	reader, err := container.NewReader(io.MultiReader(&sliceReader{b: magic[:]}, cr))
@@ -679,7 +605,7 @@ func (c *Client) finish(s *session) (*PlayResult, error) {
 	res.DecodedAvgLuma = s.lumaSum / float64(res.Frames)
 	res.BacklightSavings = model.BacklightSavings(res.Ref, res.Trace)
 	res.TotalSavings = model.Savings(res.Ref, res.Trace)
-	if s.adaptive {
+	if c.Ladder != nil {
 		res.FinalRung = s.curQi
 		res.MaxLagSeconds = s.buf.MaxLagSeconds()
 	}

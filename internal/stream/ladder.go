@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -22,11 +21,11 @@ import (
 	"repro/internal/power"
 )
 
-// This file is the serving half of the adaptive quality ladder
-// (protocol v4): a session starts at the requested rung, the client may
-// ask for a different rung mid-stream with quality-switch messages, and
-// the server answers by swapping to the matching precomputed variant at
-// the next I-frame, announcing each swap with an in-band control marker
+// This file is the serving half of the adaptive quality ladder (the
+// request's adaptive flag): a session starts at the requested rung, the
+// client may ask for a different rung mid-stream with quality-switch
+// messages, and the server answers by swapping to the matching
+// precomputed variant at the next I-frame, announcing each swap with an in-band control marker
 // so the client can follow backlight levels and accounting.
 
 // variantGetter resolves the prepared variant for one quality rung,
@@ -90,7 +89,7 @@ func (m ladderMetrics) record(old, new int) {
 	m.rung.Set(float64(new))
 }
 
-// sendAdaptive streams an adaptive (v4) session: like sendVariant, but
+// sendAdaptive streams an adaptive session: like sendVariant, but
 // a reader goroutine watches the connection's client→server half for
 // quality-switch messages and the frame loop swaps variants at I-frame
 // boundaries, writing a control marker before the first frame of each
@@ -213,7 +212,7 @@ func sendAdaptive(ctx context.Context, conn *deadlineConn, src core.Source, trac
 	return cw0.n, switches, err
 }
 
-// consumeAdaptive is the client half of an adaptive (v4) session:
+// consumeAdaptive is the client half of an adaptive session:
 // consume's decode-and-account loop, plus the ladder control loop — a
 // playout-buffer tracker fed by deliveries, a decision at every scene
 // boundary sent upstream as a quality-switch message, and the server's
@@ -231,11 +230,6 @@ func (c *Client) consumeAdaptive(ctx context.Context, s *session, rw io.ReadWrit
 		return fmt.Errorf("%w: %v", ErrTruncatedStream, err)
 	}
 	if remoteErr != nil {
-		if strings.Contains(remoteErr.Error(), "bad request") {
-			// A pre-v4 server cannot parse the adaptive framing: fall
-			// back one protocol version.
-			return errDowngrade
-		}
 		return remoteErr
 	}
 	reader, err := container.NewReader(io.MultiReader(&sliceReader{b: magic[:]}, cr))
@@ -300,7 +294,7 @@ func (c *Client) consumeAdaptive(ctx context.Context, s *session, rw io.ReadWrit
 		lad, err := adaptive.NewLadder(hdr.Annotations, cfg)
 		if err != nil {
 			// A broken ladder config degrades to a fixed-rung session on
-			// the v4 wire rather than killing playback.
+			// the adaptive wire rather than killing playback.
 			s.lad = nil
 			s.degrade("ladder", degradedTotal)
 		} else {
@@ -418,7 +412,7 @@ func (c *Client) consumeAdaptive(ctx context.Context, s *session, rw io.ReadWrit
 				continue
 			}
 			if !announced {
-				// A v4 stream opens with one marker announcing the rung
+				// An adaptive stream opens with one marker announcing the rung
 				// the server actually granted. The request's budget
 				// crossed the wire quantized, so the QualityIndex guess
 				// above can be one rung off — the announcement corrects

@@ -41,40 +41,35 @@ type Request struct {
 	// could use it to resolve device-specific backlight levels.
 	Device string
 	Mode   Mode
-	// Version is the protocol version the request was framed with.
-	// Version 2 adds StartFrame for session resume; version 3 adds a
-	// flags byte carrying an optional distributed-trace context; version
-	// 4 adds the adaptive flag negotiating mid-stream quality switches.
-	// WriteRequest emits the older framings when Version is lower, so
-	// newer clients can fall back stepwise against old servers.
-	Version int
 	// StartFrame asks the server to start the stream at this frame
-	// index instead of 0 (session resume, v2 only). The server rounds
-	// down to the nearest I-frame and reports the actual start via the
-	// container's resume-offset side channel.
+	// index instead of 0 (session resume). The server rounds down to the
+	// nearest I-frame and reports the actual start via the container's
+	// resume-offset side channel.
 	StartFrame uint32
-	// Trace is the caller's span context (v3 only; zero when absent).
-	// A server or proxy receiving a valid Trace parents its session
-	// span under it, so one request yields one tree across tiers.
+	// Trace is the caller's span context (zero when absent). A server
+	// or proxy receiving a valid Trace parents its session span under
+	// it, so one request yields one tree across tiers.
 	Trace obs.SpanContext
-	// Adaptive asks for an adaptive session (v4 only): the client may
-	// send quality-switch messages mid-stream and the server answers
-	// with in-band control markers before each rung change. Quality then
+	// Adaptive asks for an adaptive session: the client may send
+	// quality-switch messages mid-stream and the server answers with
+	// in-band control markers before each rung change. Quality then
 	// names the starting rung, which is also the best the session will
 	// ever be served.
 	Adaptive bool
 }
 
-var reqMagic = [4]byte{'R', 'Q', 'S', '1'}
-var reqMagicV2 = [4]byte{'R', 'Q', 'S', '2'}
-var reqMagicV3 = [4]byte{'R', 'Q', 'S', '3'}
-var reqMagicV4 = [4]byte{'R', 'Q', 'S', '4'}
+// reqMagic opens every negotiation request; no other request magic is
+// accepted. The layout after it is: quality byte, mode byte,
+// length-prefixed clip, length-prefixed device, 4-byte big-endian start
+// frame, flags byte, then the 25-byte trace context when reqFlagTrace
+// is set.
+var reqMagic = [4]byte{'R', 'Q', 'S', '4'}
 var errMagic = [4]byte{'E', 'R', 'R', '1'}
 
-// v3+ request flag bits.
+// Request flag bits.
 const (
 	reqFlagTrace    = 1 << 0 // a 25-byte trace context follows
-	reqFlagAdaptive = 1 << 1 // v4: session negotiates mid-stream quality switches
+	reqFlagAdaptive = 1 << 1 // session negotiates mid-stream quality switches
 )
 
 // traceFlagSampled is the sampled bit inside the trace context's own
@@ -103,9 +98,7 @@ var (
 // ReadResponseMagic maps it back to ErrOverCapacity.
 const overCapacityMsg = "over capacity"
 
-// WriteRequest serialises the negotiation request, framing it as v2
-// (with the resume start frame) when r.Version >= 2 and as the original
-// v1 message otherwise.
+// WriteRequest serialises the negotiation request.
 func WriteRequest(w io.Writer, r Request) error {
 	if len(r.Clip) > 255 || len(r.Device) > 255 {
 		return fmt.Errorf("%w: name too long", ErrProtocol)
@@ -113,55 +106,34 @@ func WriteRequest(w io.Writer, r Request) error {
 	if r.Quality < 0 || r.Quality > 1 {
 		return fmt.Errorf("%w: quality %v outside [0,1]", ErrProtocol, r.Quality)
 	}
-	magic := reqMagic
-	switch {
-	case r.Version >= 4:
-		magic = reqMagicV4
-	case r.Version >= 3:
-		magic = reqMagicV3
-	case r.Version >= 2:
-		magic = reqMagicV2
-	default:
-		if r.StartFrame != 0 {
-			return fmt.Errorf("%w: start frame requires protocol v2", ErrProtocol)
-		}
-	}
-	if r.Adaptive && r.Version < 4 {
-		return fmt.Errorf("%w: adaptive session requires protocol v4", ErrProtocol)
-	}
-	buf := append([]byte{}, magic[:]...)
+	buf := append([]byte{}, reqMagic[:]...)
 	buf = append(buf, uint8(r.Quality*255+0.5), uint8(r.Mode), uint8(len(r.Clip)))
 	buf = append(buf, r.Clip...)
 	buf = append(buf, uint8(len(r.Device)))
 	buf = append(buf, r.Device...)
-	if r.Version >= 2 {
-		buf = binary.BigEndian.AppendUint32(buf, r.StartFrame)
+	buf = binary.BigEndian.AppendUint32(buf, r.StartFrame)
+	var flags uint8
+	if r.Trace.Valid() {
+		flags |= reqFlagTrace
 	}
-	if r.Version >= 3 {
-		var flags uint8
-		if r.Trace.Valid() {
-			flags |= reqFlagTrace
+	if r.Adaptive {
+		flags |= reqFlagAdaptive
+	}
+	buf = append(buf, flags)
+	if r.Trace.Valid() {
+		buf = append(buf, r.Trace.Trace[:]...)
+		buf = append(buf, r.Trace.Span[:]...)
+		var tf uint8
+		if r.Trace.Sampled {
+			tf |= traceFlagSampled
 		}
-		if r.Adaptive && r.Version >= 4 {
-			flags |= reqFlagAdaptive
-		}
-		buf = append(buf, flags)
-		if r.Trace.Valid() {
-			buf = append(buf, r.Trace.Trace[:]...)
-			buf = append(buf, r.Trace.Span[:]...)
-			var tf uint8
-			if r.Trace.Sampled {
-				tf |= traceFlagSampled
-			}
-			buf = append(buf, tf)
-		}
+		buf = append(buf, tf)
 	}
 	_, err := w.Write(buf)
 	return err
 }
 
-// ReadRequest parses a negotiation request, accepting both the v1 and
-// the v2 (resume-capable) framing.
+// ReadRequest parses a negotiation request.
 func ReadRequest(r io.Reader) (Request, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -175,27 +147,16 @@ func ReadRequest(r io.Reader) (Request, error) {
 // one listener can dispatch client sessions and cluster peer fetches by
 // discriminator.
 func readRequestBody(magic [4]byte, r io.Reader) (Request, error) {
+	if magic != reqMagic {
+		return Request{}, fmt.Errorf("%w: bad request magic", ErrProtocol)
+	}
 	var head [3]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return Request{}, fmt.Errorf("%w: short request: %v", ErrProtocol, err)
 	}
-	version := 0
-	switch magic {
-	case reqMagic:
-		version = 1
-	case reqMagicV2:
-		version = 2
-	case reqMagicV3:
-		version = 3
-	case reqMagicV4:
-		version = 4
-	default:
-		return Request{}, fmt.Errorf("%w: bad request magic", ErrProtocol)
-	}
 	req := Request{
 		Quality: float64(head[0]) / 255,
 		Mode:    Mode(head[1]),
-		Version: version,
 	}
 	if req.Mode != ModeAnnotated && req.Mode != ModeRaw {
 		return Request{}, fmt.Errorf("%w: unknown mode %d", ErrProtocol, head[1])
@@ -214,32 +175,24 @@ func readRequestBody(magic [4]byte, r io.Reader) (Request, error) {
 		return Request{}, fmt.Errorf("%w: short device name: %v", ErrProtocol, err)
 	}
 	req.Device = string(dev)
-	if version >= 2 {
-		var sf [4]byte
-		if _, err := io.ReadFull(r, sf[:]); err != nil {
-			return Request{}, fmt.Errorf("%w: short start frame: %v", ErrProtocol, err)
-		}
-		req.StartFrame = binary.BigEndian.Uint32(sf[:])
+	var tail [5]byte // start frame, flags
+	if _, err := io.ReadFull(r, tail[:]); err != nil {
+		return Request{}, fmt.Errorf("%w: short start frame or flags: %v", ErrProtocol, err)
 	}
-	if version >= 3 {
-		var fl [1]byte
-		if _, err := io.ReadFull(r, fl[:]); err != nil {
-			return Request{}, fmt.Errorf("%w: short flags: %v", ErrProtocol, err)
+	req.StartFrame = binary.BigEndian.Uint32(tail[:4])
+	req.Adaptive = tail[4]&reqFlagAdaptive != 0
+	if tail[4]&reqFlagTrace != 0 {
+		var tc [25]byte
+		if _, err := io.ReadFull(r, tc[:]); err != nil {
+			return Request{}, fmt.Errorf("%w: short trace context: %v", ErrProtocol, err)
 		}
-		req.Adaptive = version >= 4 && fl[0]&reqFlagAdaptive != 0
-		if fl[0]&reqFlagTrace != 0 {
-			var tc [25]byte
-			if _, err := io.ReadFull(r, tc[:]); err != nil {
-				return Request{}, fmt.Errorf("%w: short trace context: %v", ErrProtocol, err)
-			}
-			req.Trace.Trace = obs.TraceID(tc[:16])
-			req.Trace.Span = obs.SpanID(tc[16:24])
-			req.Trace.Sampled = tc[24]&traceFlagSampled != 0
-			if !req.Trace.Valid() {
-				// A present-but-zero context is silently dropped rather
-				// than parenting spans under a bogus identity.
-				req.Trace = obs.SpanContext{}
-			}
+		req.Trace.Trace = obs.TraceID(tc[:16])
+		req.Trace.Span = obs.SpanID(tc[16:24])
+		req.Trace.Sampled = tc[24]&traceFlagSampled != 0
+		if !req.Trace.Valid() {
+			// A present-but-zero context is silently dropped rather
+			// than parenting spans under a bogus identity.
+			req.Trace = obs.SpanContext{}
 		}
 	}
 	return req, nil
@@ -292,7 +245,7 @@ func ReadResponseMagic(r io.Reader) (magic [4]byte, remoteErr error, err error) 
 }
 
 // qswMagic frames the client→server mid-stream quality-switch message
-// of an adaptive (v4) session: 4 magic bytes plus the requested rung.
+// of an adaptive session: 4 magic bytes plus the requested rung.
 var qswMagic = [4]byte{'Q', 'S', 'W', '1'}
 
 // WriteQualitySwitch sends a mid-stream rung request on an adaptive

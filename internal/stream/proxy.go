@@ -352,7 +352,7 @@ func (p *Proxy) handle(rawConn net.Conn) error {
 		WriteError(conn, "bad request")
 		return err
 	}
-	// Join the client's trace (v3) or root one; everything below — the
+	// Join the client's trace or root one; everything below — the
 	// upstream fetch, the annotation pipeline, the artifact lookups —
 	// hangs off this session span.
 	if req.Trace.Valid() {
@@ -362,7 +362,6 @@ func (p *Proxy) handle(rawConn net.Conn) error {
 	defer sp.End()
 	sp.SetAttr("clip", req.Clip)
 	sp.SetAttr("device", req.Device)
-	sp.SetAttrInt("version", int64(req.Version))
 	entry, stale, err := p.fetchSource(ctx, req.Clip, req.Device)
 	if err != nil {
 		WriteError(conn, err.Error())
@@ -396,7 +395,7 @@ func (p *Proxy) handle(rawConn net.Conn) error {
 		p.sm.resumes.Inc()
 	}
 	levels := deviceLevelsChunk(ctx, p.tierFor(req.Clip), entry.digest, req.Device, track)
-	if req.Adaptive && req.Version >= 4 {
+	if req.Adaptive {
 		sent, switches, aerr := sendAdaptive(ctx, conn, entry.src, track, v, getVariant, levels, from, qi,
 			p.obsReg, "proxy", p.sm.framesSent, p.sm.bytesSent)
 		if aerr == nil {
@@ -595,15 +594,10 @@ func (p *Proxy) fetchRaw(ctx context.Context, addr, clip, device string) (src co
 	// for upstream connection leaks hangs off this defer.
 	defer rawConn.Close()
 	conn := &deadlineConn{Conn: rawConn, readTimeout: p.readTimeout, writeTimeout: p.writeTimeout}
-	req := Request{Clip: clip, Device: device, Mode: ModeRaw}
-	// Propagate the trace across the hop: the v3 framing carries this
-	// fetch span's context so the upstream server.session parents under
-	// it. Without an active trace, keep the old v1 framing — nothing to
-	// carry, and an old upstream stays compatible.
-	if sc := obs.SpanContextFrom(fctx); sc.Valid() {
-		req.Version = 3
-		req.Trace = sc
-	}
+	// Propagate the trace across the hop: the request carries this fetch
+	// span's context (when there is one) so the upstream server.session
+	// parents under it.
+	req := Request{Clip: clip, Device: device, Mode: ModeRaw, Trace: obs.SpanContextFrom(fctx)}
 	if err := WriteRequest(conn, req); err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -192,57 +193,60 @@ func TestClientDegradesOnCorruptAnnotations(t *testing.T) {
 	}
 }
 
-// TestClientDowngradesToV1 runs the version negotiation against an "old"
-// server: a shim that rejects the v2 and v3 magics with "bad request"
-// and forwards v1 traffic to a real server. The stepwise downgrade
-// (3 → 2 → 1) must be invisible (no retry budget spent) and the session
-// must complete as v1.
-func TestClientDowngradesToV1(t *testing.T) {
-	_, upstream := startServer(t)
+// TestLegacyRequestMagicRejected: a live server answers a request framed
+// with a retired magic (here a complete RQS1 request) with an ERR1 "bad
+// request", and a client facing a peer that rejects its framing fails
+// at once — a protocol mismatch is not retryable.
+func TestLegacyRequestMagicRejected(t *testing.T) {
+	_, addr := startServer(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write([]byte("RQS1\x19\x00\x05night\x08ipaq5555")); err != nil {
+		t.Fatal(err)
+	}
+	magic, remoteErr, err := ReadResponseMagic(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if magic != errMagic || remoteErr == nil || !strings.Contains(remoteErr.Error(), "bad request") {
+		t.Fatalf("legacy request answered with %q, %v; want ERR1 bad request", magic[:], remoteErr)
+	}
+
+	// A shim that rejects every request the way the server rejects a
+	// framing it cannot parse.
 	ln := newLocalListener(t)
+	var conns atomic.Int32
 	go func() {
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
+			conns.Add(1)
 			go func(conn net.Conn) {
 				defer conn.Close()
 				var magic [4]byte
-				if _, err := io.ReadFull(conn, magic[:]); err != nil {
-					return
-				}
-				if magic == reqMagicV2 || magic == reqMagicV3 {
-					// What a pre-v2 server does with framing it cannot
-					// parse.
+				if _, err := io.ReadFull(conn, magic[:]); err == nil {
 					WriteError(conn, "bad request")
-					return
 				}
-				up, err := net.Dial("tcp", upstream)
-				if err != nil {
-					return
-				}
-				defer up.Close()
-				up.Write(magic[:])
-				go io.Copy(up, conn)
-				io.Copy(conn, up)
 			}(conn)
 		}
 	}()
-
-	client := &Client{Device: display.IPAQ5555()}
-	res, err := client.Play(ln.Addr().String(), "night", 0.10)
-	if err != nil {
-		t.Fatal(err)
+	reg := obs.NewRegistry()
+	client := &Client{Device: display.IPAQ5555(), Obs: reg,
+		Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}}
+	if _, err := client.Play(ln.Addr().String(), "night", 0.10); err == nil || !strings.Contains(err.Error(), "bad request") {
+		t.Fatalf("Play = %v, want a bad request error", err)
 	}
-	if res.ProtocolVersion != 1 {
-		t.Errorf("protocol version = %d, want 1 after downgrade", res.ProtocolVersion)
+	if n := reg.Counter("stream_client_retries_total", "").Value(); n != 0 {
+		t.Errorf("retries = %d, want 0", n)
 	}
-	if res.Retries != 0 {
-		t.Errorf("retries = %d; the downgrade must not consume retry budget", res.Retries)
-	}
-	if res.Frames != 20 {
-		t.Errorf("frames = %d, want 20", res.Frames)
+	if n := conns.Load(); n != 1 {
+		t.Errorf("client dialed %d times, want 1", n)
 	}
 }
 

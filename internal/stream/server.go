@@ -103,11 +103,6 @@ type Server struct {
 	scene   func(fps int) scene.Config
 	enc     EncodeConfig
 
-	// maxProto, when nonzero, rejects requests framed with a newer
-	// protocol version — how tests (and operators pinning a fleet) model
-	// an old server, exercising the client's stepwise downgrade.
-	maxProto int
-
 	// handshakeTimeout bounds reading the negotiation request;
 	// writeTimeout is re-armed before every write, so a client that
 	// stops draining its socket cannot pin a session goroutine.
@@ -249,12 +244,6 @@ func (s *Server) SetAdmissionQueue(depth int, wait time.Duration) {
 // SetEncodeConfig overrides codec parameters.
 func (s *Server) SetEncodeConfig(c EncodeConfig) { s.enc = c }
 
-// SetMaxProtocolVersion makes the server refuse requests framed with a
-// newer protocol version, answering them exactly as a pre-v(n+1) server
-// would ("bad request"), so clients fall back stepwise. Zero (the
-// default) accepts every version the server knows. Call before Listen.
-func (s *Server) SetMaxProtocolVersion(v int) { s.maxProto = v }
-
 // Listen starts accepting connections on addr and returns the bound
 // address (useful with ":0").
 func (s *Server) Listen(addr string) (net.Addr, error) {
@@ -371,15 +360,9 @@ func (s *Server) handle(rawConn net.Conn, admitWait time.Duration) error {
 		WriteError(conn, "bad request")
 		return err
 	}
-	if s.maxProto > 0 && req.Version > s.maxProto {
-		// Answer exactly as a server predating req.Version would: its
-		// ReadRequest would have choked on the unknown magic.
-		WriteError(conn, "bad request")
-		return fmt.Errorf("request version %d above pinned max %d", req.Version, s.maxProto)
-	}
-	// A v3 request carries the caller's span context: this session
-	// becomes a child in the caller's trace. Without one, the session
-	// roots a trace of its own.
+	// A request carrying the caller's span context makes this session a
+	// child in the caller's trace. Without one, the session roots a
+	// trace of its own.
 	if req.Trace.Valid() {
 		ctx = obs.WithSpanContext(ctx, req.Trace)
 	}
@@ -387,7 +370,6 @@ func (s *Server) handle(rawConn net.Conn, admitWait time.Duration) error {
 	defer sp.End()
 	sp.SetAttr("clip", req.Clip)
 	sp.SetAttr("device", req.Device)
-	sp.SetAttrInt("version", int64(req.Version))
 	if admitWait > time.Millisecond {
 		sp.SetAttr("admit_wait", admitWait.Round(time.Millisecond).String())
 	}
@@ -549,7 +531,7 @@ func (s *Server) streamAnnotated(ctx context.Context, conn *deadlineConn, src co
 		s.sm.resumes.Inc()
 	}
 	levels := deviceLevelsChunk(ctx, s.tierFor(req.Clip), dg, req.Device, track)
-	if req.Adaptive && req.Version >= 4 {
+	if req.Adaptive {
 		sent, switches, err := sendAdaptive(ctx, conn, src, track, v, getVariant, levels, from, qi,
 			s.obsReg, "server", s.sm.framesSent, s.sm.bytesSent)
 		if err == nil {
@@ -642,11 +624,11 @@ func deviceLevelsChunk(ctx context.Context, t tier, digest, deviceName string, t
 	return v.([]byte)
 }
 
-// resumePoint maps a v2 resume request onto the variant: the stream must
+// resumePoint maps a resume request onto the variant: the stream must
 // restart at an I-frame, so the requested start frame is rounded down to
 // the nearest intra boundary (frame 0 always is one).
 func resumePoint(frames []*codec.EncodedFrame, req Request) (int, error) {
-	if req.Version < 2 || req.StartFrame == 0 {
+	if req.StartFrame == 0 {
 		return 0, nil
 	}
 	if req.StartFrame >= uint32(len(frames)) {

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -61,11 +62,23 @@ func TestRequestValidation(t *testing.T) {
 	if err := WriteRequest(&buf, Request{Clip: "a", Quality: 2}); err == nil {
 		t.Error("quality > 1 accepted")
 	}
-	if _, err := ReadRequest(bytes.NewReader([]byte("BAD!xxxxx"))); err == nil {
-		t.Error("bad magic accepted")
+	// Rejected inputs. The legacy magics carry a well-formed body, so
+	// only the magic decides: RQS4 is the one accepted framing.
+	var good bytes.Buffer
+	if err := WriteRequest(&good, Request{Clip: "night", Quality: 0.1, Device: "ipaq5555"}); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ReadRequest(bytes.NewReader(nil)); err == nil {
-		t.Error("empty request accepted")
+	body := string(good.Bytes()[4:])
+	for _, tc := range []struct{ name, in string }{
+		{"bad magic", "BAD!xxxxx"},
+		{"empty request", ""},
+		{"RQS1 request", "RQS1" + body},
+		{"RQS2 request", "RQS2" + body},
+		{"RQS3 request", "RQS3" + body},
+	} {
+		if _, err := ReadRequest(strings.NewReader(tc.in)); !errors.Is(err, ErrProtocol) {
+			t.Errorf("%s: err = %v, want ErrProtocol", tc.name, err)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/display"
@@ -108,6 +109,16 @@ func TestDebugEndpointScrape(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Play returns once the client has read the stream; each server
+	// session goroutine tears down (and drops the gauge) just after.
+	// Scrape only once the gauge reads zero, which also settles every
+	// server-side counter bumped before it.
+	active := reg.Gauge("stream_active_conns", "", obs.L("role", "server"))
+	for deadline := time.Now().Add(5 * time.Second); active.Value() != 0; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("stream_active_conns{role=\"server\"} = %v, want 0 after sessions end", active.Value())
+		}
+	}
 	if body := scrape(t, base, "/healthz"); !strings.Contains(body, "ok") {
 		t.Errorf("/healthz = %q", body)
 	}

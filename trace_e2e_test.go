@@ -1,7 +1,7 @@
 // End-to-end distributed tracing test: a cold-miss request through
 // client → proxy → upstream server must yield ONE connected trace tree
 // — the trace ID minted by the client propagates in-process via context
-// and across both TCP hops via the protocol's v3 header extension, so
+// and across both TCP hops via the request's trace-context field, so
 // the pipeline stages that ran on the far server parent back to the
 // client's root span. Also pins the per-session power ledger against
 // the client's own savings accounting.
@@ -99,12 +99,12 @@ func TestTracePropagatesAcrossTiers(t *testing.T) {
 	walk(tree.Roots[0], 0)
 
 	for _, want := range []string{
-		"client.play",      // client root
-		"client.attempt",   // one connection attempt
-		"proxy.session",    // first hop
-		"proxy.fetch_raw",  // upstream fetch (the second hop's client side)
-		"server.session",   // far server, joined via the v3 header
-		"anncache.lookup",  // artifact resolution on a cold miss
+		"client.play",         // client root
+		"client.attempt",      // one connection attempt
+		"proxy.session",       // first hop
+		"proxy.fetch_raw",     // upstream fetch (the second hop's client side)
+		"server.session",      // far server, joined via the request header
+		"anncache.lookup",     // artifact resolution on a cold miss
 		"annotate.luma_stats", // the pipeline actually ran
 	} {
 		if seen[want] == 0 {
