@@ -317,19 +317,33 @@ func BenchmarkDCT8x8(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeFrame encodes a moving two-scene clip, one frame per
+// op, at GOP = fps, so P-frame macroblocks run the motion search (a
+// static frame would make every one a zero-SAD skip).
 func BenchmarkEncodeFrame(b *testing.B) {
-	f := benchFrame()
-	enc, err := codec.NewEncoder(f.W, f.H, 10, 4)
+	c := video.MustNew("bench-motion", 160, 120, 10, 3, []video.SceneSpec{
+		{Frames: 10, BaseLuma: 0.3, LumaSpread: 0.4, MaxLuma: 0.9, HighlightFrac: 0.02, Chroma: 0.5, Motion: 2.5},
+		{Frames: 10, BaseLuma: 0.55, LumaSpread: 0.5, MaxLuma: 1.0, HighlightFrac: 0.05, Chroma: 0.3, Motion: 4.5},
+	})
+	frames := make([]*frame.Frame, c.TotalFrames())
+	for i := range frames {
+		frames[i] = c.Frame(i)
+	}
+	// The clip length is a multiple of the GOP, so every pass over it
+	// starts with an I-frame and codes the same frame types.
+	enc, err := codec.NewEncoder(c.W, c.H, c.FPS, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	b.SetBytes(int64(f.W * f.H * 3))
+	b.SetBytes(int64(c.W * c.H * 3))
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := enc.Encode(f); err != nil {
+		if _, err := enc.Encode(frames[i%len(frames)]); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
 
 func BenchmarkDecodeFrame(b *testing.B) {

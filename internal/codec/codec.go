@@ -1,7 +1,9 @@
 package codec
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/frame"
 )
@@ -56,6 +58,15 @@ type Encoder struct {
 	QScale int
 	ref    *Picture // last reconstructed picture (closed loop)
 	count  int
+
+	// Per-frame scratch, reused so a frame allocates only its output:
+	// the frame being coded, the picture the next reconstruction goes
+	// into (ref and spare swap every frame), the bit writer, and the
+	// edge-padded luma planes the motion search reads.
+	cur    *Picture
+	spare  *Picture
+	bw     BitWriter
+	search searcher
 }
 
 // NewEncoder returns an encoder for w×h frames with an I-frame every gop
@@ -67,7 +78,7 @@ func NewEncoder(w, h, gop, qscale int) (*Encoder, error) {
 	if gop < 1 {
 		return nil, fmt.Errorf("codec: gop %d < 1", gop)
 	}
-	return &Encoder{W: w, H: h, GOP: gop, QScale: clampQScale(qscale)}, nil
+	return &Encoder{W: w, H: h, GOP: gop, QScale: clampQScale(qscale), cur: NewPicture(w, h)}, nil
 }
 
 // Encode compresses the next frame of the sequence.
@@ -76,24 +87,33 @@ func (e *Encoder) Encode(f *frame.Frame) (*EncodedFrame, error) {
 		return nil, fmt.Errorf("codec: frame %dx%d does not match encoder %dx%d",
 			f.W, f.H, e.W, e.H)
 	}
-	pic := FromFrame(f)
+	fromFrameInto(f, e.cur)
 	ft := PFrame
 	if e.count%e.GOP == 0 || e.ref == nil {
 		ft = IFrame
 	}
 	e.count++
 
-	w := &BitWriter{}
-	recon := NewPicture(e.W, e.H)
-	if ft == IFrame {
-		encodeIntraPlane(w, pic.Y, recon.Y, e.QScale)
-		encodeIntraPlane(w, pic.Cb, recon.Cb, e.QScale)
-		encodeIntraPlane(w, pic.Cr, recon.Cr, e.QScale)
-	} else {
-		encodePredicted(w, pic, e.ref, recon, e.QScale)
+	// Every sample of recon is rewritten below (storeBlock covers each
+	// plane; each P macroblock is copied or fully reconstructed), so the
+	// spare may still hold the picture from two frames back.
+	recon := e.spare
+	if recon == nil {
+		recon = NewPicture(e.W, e.H)
 	}
-	e.ref = recon
-	return &EncodedFrame{Type: ft, QScale: e.QScale, Data: w.Bytes()}, nil
+	w := &e.bw
+	*w = BitWriter{buf: w.buf[:0]}
+	if ft == IFrame {
+		encodeIntraPlane(w, e.cur.Y, recon.Y, e.QScale)
+		encodeIntraPlane(w, e.cur.Cb, recon.Cb, e.QScale)
+		encodeIntraPlane(w, e.cur.Cr, recon.Cr, e.QScale)
+	} else {
+		e.search.load(e.cur.Y, e.ref.Y)
+		encodePredicted(w, e.cur, e.ref, recon, &e.search, e.QScale)
+	}
+	e.ref, e.spare = recon, e.ref
+	data := append([]byte(nil), w.Bytes()...)
+	return &EncodedFrame{Type: ft, QScale: e.QScale, Data: data}, nil
 }
 
 // Decoder decompresses a frame sequence produced by Encoder.
@@ -214,17 +234,20 @@ func halfPelSample(p *Plane, hx, hy int) int {
 	}
 }
 
-func encodePredicted(w *BitWriter, cur, ref, rec *Picture, qscale int) {
+// encodePredicted codes cur against ref into rec; s holds cur's and
+// ref's luma, padded, for the motion search.
+func encodePredicted(w *BitWriter, cur, ref, rec *Picture, s *searcher, qscale int) {
 	for my := 0; my < cur.Y.H; my += MBSize {
 		for mx := 0; mx < cur.Y.W; mx += MBSize {
 			// Skip decision first: a static macroblock costs one SAD,
 			// not a full motion search.
-			if sadZero := mbSAD(cur.Y, ref.Y, mx, my, 0, 0); sadZero < skipSADThreshold {
+			sadZero := s.zeroSAD(mx, my)
+			if sadZero < skipSADThreshold {
 				w.WriteBit(1) // skip
 				copyMB(rec, ref, mx, my)
 				continue
 			}
-			mv := searchMotion(cur.Y, ref.Y, mx, my)
+			mv := s.search(mx, my, sadZero)
 			w.WriteBit(0)
 			w.WriteSE(int32(mv.X))
 			w.WriteSE(int32(mv.Y))
@@ -289,23 +312,82 @@ func decodePredicted(r *BitReader, pic, ref *Picture, qscale int) error {
 	return nil
 }
 
-// searchMotion finds the motion vector minimising luma SAD at (mx,my):
-// an exhaustive full-pel search over ±SearchRange followed by a half-pel
-// refinement of the winner's eight neighbours. It returns the best
-// half-pel vector.
-func searchMotion(cur, ref *Plane, mx, my int) motionVector {
+// padMargin is the edge extension of the search planes on every side. A
+// half-pel vector reads at most SearchRange+1 samples past the
+// macroblock, bilinear neighbour included; the last sample is slack.
+const padMargin = SearchRange + 2
+
+// searcher runs the P-frame motion search over edge-padded copies of
+// the current and reference luma. The padding replicates each plane's
+// edge samples outward, which is exactly what Plane.At's clamping
+// returns, so every candidate (including those reaching past the frame)
+// reads plain rows, and every SAD equals the clamped one.
+type searcher struct {
+	stride   int
+	cur, ref []uint8
+}
+
+// load fills the padded planes from cur and ref, which share dimensions.
+func (s *searcher) load(cur, ref *Plane) {
+	s.stride = cur.W + 2*padMargin + MBSize
+	s.cur = padPlane(s.cur, cur, s.stride)
+	s.ref = padPlane(s.ref, ref, s.stride)
+}
+
+// padPlane copies p into dst (reused when large enough) with padMargin
+// samples of edge extension on every side, plus one macroblock more on
+// the right and bottom so partial edge macroblocks read whole rows.
+func padPlane(dst []uint8, p *Plane, stride int) []uint8 {
+	n := stride * (p.H + 2*padMargin + MBSize)
+	if cap(dst) < n {
+		dst = make([]uint8, n)
+	}
+	dst = dst[:n]
+	for o := 0; o < n; o += stride {
+		sy := min(max(o/stride-padMargin, 0), p.H-1)
+		src := p.Pix[sy*p.W : (sy+1)*p.W]
+		row := dst[o : o+stride]
+		for x := range row[:padMargin] {
+			row[x] = src[0]
+		}
+		copy(row[padMargin:], src)
+		right := row[padMargin+p.W:]
+		for x := range right {
+			right[x] = src[p.W-1]
+		}
+	}
+	return dst
+}
+
+// at returns the offset of sample (x, y) in the padded planes.
+func (s *searcher) at(x, y int) int { return (y+padMargin)*s.stride + x + padMargin }
+
+// zeroSAD is the luma SAD of the macroblock at (mx, my) against the
+// co-located reference macroblock.
+func (s *searcher) zeroSAD(mx, my int) int {
+	o := s.at(mx, my)
+	return sadFull(s.cur, s.ref, o, o, s.stride, 0, math.MaxInt)
+}
+
+// search finds the motion vector minimising luma SAD at (mx,my): an
+// exhaustive full-pel search over ±SearchRange followed by a half-pel
+// refinement of the winner's eight neighbours. zero is the zero vector's
+// SAD. A candidate replaces the best only when strictly smaller, so each
+// one stops as soon as it reaches the best so far without changing the
+// outcome. It returns the best half-pel vector.
+func (s *searcher) search(mx, my, zero int) motionVector {
+	co := s.at(mx, my)
 	bestFull := motionVector{}
-	bestSAD := mbSAD(cur, ref, mx, my, 0, 0)
+	bestSAD := zero
 	for vy := -SearchRange; vy <= SearchRange; vy++ {
 		for vx := -SearchRange; vx <= SearchRange; vx++ {
 			if vx == 0 && vy == 0 {
 				continue
 			}
-			s := mbSAD(cur, ref, mx, my, vx, vy)
 			// Bias toward shorter vectors to stabilise the field.
-			s += 4 * (absInt(vx) + absInt(vy))
-			if s < bestSAD {
-				bestSAD = s
+			bias := 4 * (absInt(vx) + absInt(vy))
+			if sad := sadFull(s.cur, s.ref, co, co+vy*s.stride+vx, s.stride, bias, bestSAD); sad < bestSAD {
+				bestSAD = sad
 				bestFull = motionVector{vx, vy}
 			}
 		}
@@ -318,9 +400,8 @@ func searchMotion(cur, ref *Plane, mx, my int) motionVector {
 				continue
 			}
 			hv := motionVector{2*bestFull.X + dx, 2*bestFull.Y + dy}
-			s := mbSADHalf(cur, ref, mx, my, hv.X, hv.Y)
-			if s < bestSAD {
-				bestSAD = s
+			if sad := s.sadHalf(co, hv, bestSAD); sad < bestSAD {
+				bestSAD = sad
 				best = hv
 			}
 		}
@@ -328,53 +409,93 @@ func searchMotion(cur, ref *Plane, mx, my int) motionVector {
 	return best
 }
 
-func mbSAD(cur, ref *Plane, mx, my, vx, vy int) int {
-	// Interior fast path: when both 16×16 windows are fully inside their
-	// planes, At's edge clamping is the identity and the rows can be
-	// walked as fixed-size arrays with no bounds checks. Edge macroblocks
-	// (and vectors reaching past the border) take the clamped loop.
-	if mx >= 0 && my >= 0 && mx+MBSize <= cur.W && my+MBSize <= cur.H &&
-		mx+vx >= 0 && my+vy >= 0 && mx+vx+MBSize <= ref.W && my+vy+MBSize <= ref.H {
-		sad := 0
-		for y := 0; y < MBSize; y++ {
-			co := (my+y)*cur.W + mx
-			ro := (my+y+vy)*ref.W + mx + vx
-			c := (*[MBSize]uint8)(cur.Pix[co : co+MBSize])
-			r := (*[MBSize]uint8)(ref.Pix[ro : ro+MBSize])
-			for x := 0; x < MBSize; x++ {
-				d := int(c[x]) - int(r[x])
-				if d < 0 {
-					d = -d
-				}
-				sad += d
-			}
-		}
-		return sad
-	}
-	sad := 0
+// sadFull adds to sad the SAD of the macroblocks at offsets co of cur
+// and ro of ref, padded planes of the given stride. It stops at the end
+// of the first row where the running total reaches limit: from there
+// the candidate cannot win, and only that it lost matters.
+//
+// A row is read as two 64-bit words per plane and differenced four
+// samples at a time in 16-bit lanes (see absDiffLanes). acc's lanes stay
+// below 16·4·255 and their sum below 2^16, so no lane carries into the
+// next.
+func sadFull(cur, ref []uint8, co, ro, stride, sad, limit int) int {
+	var acc uint64
 	for y := 0; y < MBSize; y++ {
-		for x := 0; x < MBSize; x++ {
-			d := int(cur.At(mx+x, my+y)) - int(ref.At(mx+x+vx, my+y+vy))
-			if d < 0 {
-				d = -d
-			}
-			sad += d
+		c0 := binary.LittleEndian.Uint64(cur[co:])
+		c1 := binary.LittleEndian.Uint64(cur[co+8:])
+		r0 := binary.LittleEndian.Uint64(ref[ro:])
+		r1 := binary.LittleEndian.Uint64(ref[ro+8:])
+		acc += absDiffLanes(c0&lanesFF, r0&lanesFF) + absDiffLanes(c0>>8&lanesFF, r0>>8&lanesFF) +
+			absDiffLanes(c1&lanesFF, r1&lanesFF) + absDiffLanes(c1>>8&lanesFF, r1>>8&lanesFF)
+		if s := sad + int(acc*lanes01>>48); s >= limit {
+			return s
 		}
+		co += stride
+		ro += stride
 	}
-	return sad
+	return sad + int(acc*lanes01>>48)
 }
 
-// mbSADHalf is mbSAD with a half-pel vector.
-func mbSADHalf(cur, ref *Plane, mx, my, hvx, hvy int) int {
+// Masks over the four 16-bit lanes of a uint64.
+const (
+	lanes01  = 0x0001_0001_0001_0001
+	lanesFF  = 0x00FF_00FF_00FF_00FF
+	lanes100 = 0x0100_0100_0100_0100
+)
+
+// absDiffLanes returns |a-b| in each 16-bit lane, for lanes holding
+// 0..255. Each lane of d is 256+a-b, in 1..511, so nothing borrows
+// across lanes; bit 8 of a lane is set exactly when a >= b, and
+// otherwise b-a = 256-d = (d^0xFF)+1.
+func absDiffLanes(a, b uint64) uint64 {
+	d := a + lanes100 - b
+	lt := d>>8&lanes01 ^ lanes01
+	return (d&lanesFF ^ lt*0xFF) + lt
+}
+
+// sadHalf is sadFull, with no bias, for the macroblock at offset co and
+// half-pel vector hv. It predicts as halfPelSample does, with that
+// function's four averaging cases written out per row.
+func (s *searcher) sadHalf(co int, hv motionVector, limit int) int {
+	stride := s.stride
+	ro := co + (hv.Y>>1)*stride + hv.X>>1
+	fx, fy := hv.X&1, hv.Y&1
 	sad := 0
 	for y := 0; y < MBSize; y++ {
-		for x := 0; x < MBSize; x++ {
-			d := int(cur.At(mx+x, my+y)) - halfPelSample(ref, 2*(mx+x)+hvx, 2*(my+y)+hvy)
+		c := (*[MBSize]uint8)(s.cur[co : co+MBSize])
+		r0 := (*[MBSize + 1]uint8)(s.ref[ro : ro+MBSize+1])
+		r1 := (*[MBSize + 1]uint8)(s.ref[ro+stride : ro+stride+MBSize+1])
+		var p [MBSize]int
+		switch {
+		case fx == 0 && fy == 0:
+			for x := range p {
+				p[x] = int(r0[x])
+			}
+		case fy == 0:
+			for x := range p {
+				p[x] = (int(r0[x]) + int(r0[x+1]) + 1) / 2
+			}
+		case fx == 0:
+			for x := range p {
+				p[x] = (int(r0[x]) + int(r1[x]) + 1) / 2
+			}
+		default:
+			for x := range p {
+				p[x] = (int(r0[x]) + int(r0[x+1]) + int(r1[x]) + int(r1[x+1]) + 2) / 4
+			}
+		}
+		for x := range p {
+			d := int(c[x]) - p[x]
 			if d < 0 {
 				d = -d
 			}
 			sad += d
 		}
+		if sad >= limit {
+			return sad
+		}
+		co += stride
+		ro += stride
 	}
 	return sad
 }

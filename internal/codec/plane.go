@@ -76,6 +76,13 @@ func NewPicture(w, h int) *Picture {
 // over each 2×2 luma quad.
 func FromFrame(f *frame.Frame) *Picture {
 	pic := NewPicture(f.W, f.H)
+	fromFrameInto(f, pic)
+	return pic
+}
+
+// fromFrameInto is FromFrame into a picture of f's size; it writes every
+// sample, so pic may hold a previous frame.
+func fromFrameInto(f *frame.Frame, pic *Picture) {
 	for y := 0; y < f.H; y++ {
 		for x := 0; x < f.W; x++ {
 			yc := pixel.ToYCbCr(f.At(x, y))
@@ -103,7 +110,6 @@ func FromFrame(f *frame.Frame) *Picture {
 			}
 		}
 	}
-	return pic
 }
 
 // ToFrame converts the picture back to an RGB frame of the given size

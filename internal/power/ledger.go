@@ -187,25 +187,6 @@ func (l *Ledger) Degraded(what string) {
 	}
 }
 
-// Reset discards playback accounting (a v1 replay restarts the clip
-// from scratch) while keeping wire/stall history, which really
-// happened.
-func (l *Ledger) Reset() {
-	if l == nil {
-		return
-	}
-	l.got = Trace{}
-	l.ref = Trace{}
-	l.scenes = nil
-	l.frames = 0
-	l.levelSum = 0
-	l.switches = 0
-	l.prevLevel = -1
-	// Quality switches, like stalls, really happened on the wire and
-	// survive the reset; per-rung playback time restarts with playback.
-	l.rungSeconds = nil
-}
-
 // Report is the sealed end-of-session accounting.
 type Report struct {
 	Frames   int

@@ -91,7 +91,7 @@ func TestLedgerNetworkToggle(t *testing.T) {
 	}
 }
 
-func TestLedgerQoSAndReset(t *testing.T) {
+func TestLedgerQoS(t *testing.T) {
 	led := NewLedger(display.IPAQ5555())
 	led.AddWireBytes(1000)
 	led.AddAnnotationBytes(47)
@@ -100,16 +100,14 @@ func TestLedgerQoSAndReset(t *testing.T) {
 	led.Degraded("cycles") // once per name
 	led.Degraded("scenes")
 	led.Frame(0.1, 200)
-
-	led.Reset() // a v1 replay: playback restarts, history stays
 	led.StartScene(0, 128)
 	led.Frame(0.1, 128)
 	rep := led.Report()
-	if rep.Frames != 1 || len(rep.Scenes) != 1 {
-		t.Errorf("post-reset frames/scenes = %d/%d, want 1/1", rep.Frames, len(rep.Scenes))
+	if rep.Frames != 2 || len(rep.Scenes) != 1 || rep.Scenes[0].Frames != 1 {
+		t.Errorf("frames/scenes = %d/%v, want 2 frames, one scene of 1", rep.Frames, rep.Scenes)
 	}
 	if rep.WireBytes != 1000 || rep.AnnotationBytes != 47 {
-		t.Errorf("reset dropped wire history: %d/%d", rep.WireBytes, rep.AnnotationBytes)
+		t.Errorf("wire history = %d/%d, want 1000/47", rep.WireBytes, rep.AnnotationBytes)
 	}
 	if rep.Rebuffers != 1 || math.Abs(rep.StallSeconds-0.5) > 1e-9 {
 		t.Errorf("rebuffers = %d (%vs), want 1 (0.5s)", rep.Rebuffers, rep.StallSeconds)
@@ -138,7 +136,6 @@ func TestLedgerNilSafe(t *testing.T) {
 	l.SetNetworkActive(false)
 	l.SetRung(2)
 	l.QualitySwitch(3)
-	l.Reset()
 	if got, ref := l.Traces(); got != nil || ref != nil {
 		t.Error("nil ledger Traces() non-nil")
 	}
@@ -171,18 +168,6 @@ func TestLedgerRungAccounting(t *testing.T) {
 	if s := rep.String(); !strings.Contains(s, "ladder:  2 quality switches") ||
 		!strings.Contains(s, "rung 2: 0.3s") {
 		t.Errorf("report string missing ladder line:\n%s", s)
-	}
-
-	// Reset drops per-rung playback time but keeps the switch history,
-	// like stalls: both really happened on the wire.
-	led.Reset()
-	led.Frame(0.1, 200)
-	rep = led.Report()
-	if rep.QualitySwitches != 2 {
-		t.Errorf("post-reset QualitySwitches = %d, want 2", rep.QualitySwitches)
-	}
-	if math.Abs(rep.RungSeconds[2]-0.1) > 1e-9 || len(rep.RungSeconds) != 1 {
-		t.Errorf("post-reset RungSeconds = %v, want rung 2: 0.1s only", rep.RungSeconds)
 	}
 
 	// Fixed-quality sessions never name a rung and render no ladder line.

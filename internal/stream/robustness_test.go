@@ -600,3 +600,55 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// blockingSource is a catalog clip whose frames wait for release, so a
+// digest of it stays in flight for as long as a test needs.
+type blockingSource struct {
+	core.Source
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (b *blockingSource) Frame(i int) *frame.Frame {
+	b.once.Do(func() { close(b.entered) })
+	<-b.release
+	return b.Source.Frame(i)
+}
+
+// TestDigestOfDoesNotBlockBehindColdClip: a digest renders the whole
+// clip, so computing one must not hold the server-wide digest lock that
+// every session's lookup, memoised ones included, goes through.
+func TestDigestOfDoesNotBlockBehindColdClip(t *testing.T) {
+	cat := testCatalog()
+	night := cat["night"]
+	slow := &blockingSource{Source: night, entered: make(chan struct{}), release: make(chan struct{})}
+	cat["slow"] = slow
+	s := NewServer(cat)
+	want := s.digestOf("night", night)
+
+	var release sync.Once
+	defer release.Do(func() { close(slow.release) })
+	slowDone := make(chan string, 1)
+	go func() { slowDone <- s.digestOf("slow", slow) }()
+	<-slow.entered
+
+	done := make(chan string, 1)
+	go func() { done <- s.digestOf("night", night) }()
+	select {
+	case got := <-done:
+		if got != want {
+			t.Errorf("memoised digest changed: %s, want %s", got, want)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("digestOf of a memoised clip blocked behind another clip's digest computation")
+	}
+
+	release.Do(func() { close(slow.release) })
+	// Same frames as night, so the same content digest, now memoised.
+	if got := <-slowDone; got != want {
+		t.Errorf("slow clip digest %s, want %s", got, want)
+	}
+	if got := s.digestOf("slow", slow); got != want {
+		t.Errorf("memoised slow digest %s, want %s", got, want)
+	}
+}

@@ -395,15 +395,21 @@ func (s *Server) handle(rawConn net.Conn, admitWait time.Duration) error {
 
 // digestOf memoises the content digest of a catalog clip: catalog
 // sources are immutable, so one full-decode fingerprint per name is
-// enough to key every cached artifact by content.
+// enough to key every cached artifact by content. The digest renders
+// the whole clip, so it is computed outside digestMu: one cold clip must
+// not stall lookups of clips already memoised. Two racing computes of
+// one clip yield the same string, so either insert is correct.
 func (s *Server) digestOf(name string, src core.Source) string {
 	s.digestMu.Lock()
-	defer s.digestMu.Unlock()
-	if d, ok := s.digests[name]; ok {
+	d, ok := s.digests[name]
+	s.digestMu.Unlock()
+	if ok {
 		return d
 	}
-	d := core.SourceDigest(src)
+	d = core.SourceDigest(src)
+	s.digestMu.Lock()
 	s.digests[name] = d
+	s.digestMu.Unlock()
 	return d
 }
 

@@ -66,27 +66,12 @@ type Clip struct {
 
 	starts []int // cumulative scene start frames
 	total  int
-
-	// Highlight layouts are pure functions of (scene, frame/4); caching
-	// them skips re-seeding and re-drawing the RNG on every frame of the
-	// same 4-frame group. Bounded (see highlightLayout) and safe for the
-	// pipeline's parallel per-frame workers.
-	hlMu    sync.Mutex
-	hlCache map[uint64]*hlLayout
 }
 
-// hlPt is one sparse highlight: position plus its pre-flicker luminance.
-type hlPt struct {
-	x, y int
-	lum  float64
-}
-
-// hlLayout is the deterministic highlight placement shared by the four
-// consecutive frames of one group.
-type hlLayout struct {
-	pts  []hlPt
-	pins [4][2]int // pixels pinned exactly at the scene maximum
-}
+// hlRngs pools the highlight generators. Reseeding a pooled *rand.Rand
+// reproduces rand.New(rand.NewSource(seed)) exactly, without allocating
+// a fresh source state on every frame.
+var hlRngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // New assembles a clip and validates its scene list.
 func New(name string, w, h, fps int, seed int64, scenes []SceneSpec) (*Clip, error) {
@@ -165,10 +150,8 @@ func (c *Clip) Frame(i int) *frame.Frame {
 	s := c.Scenes[si]
 	f := frame.New(c.W, c.H)
 
-	// Scene-local deterministic generators. The highlight layout changes
-	// slowly (every few frames) to model moving specular points.
+	// Scene-local deterministic generators.
 	sceneSeed := c.Seed*1000003 + int64(si)*7919
-	hl := c.highlightLayout(si, off/4, s, sceneSeed)
 
 	flicker := 0.0
 	if s.Flicker > 0 {
@@ -234,63 +217,32 @@ func (c *Clip) Frame(i int) *frame.Frame {
 		}
 	}
 
-	// Sparse highlights at MaxLuma (layout cached per 4-frame group;
-	// flicker is per frame, so it is applied here, not in the cache).
-	for _, p := range hl.pts {
-		f.Set(p.x, p.y, lumaToRGB(p.lum+flicker, cb/2, cr/2))
-	}
-	// Pin four pixels exactly at MaxLuma (corner-adjacent spread pattern)
-	// so max-luminance scene statistics are exact.
-	pin := lumaToRGB(s.MaxLuma, 0, 0)
-	for _, xy := range hl.pins {
-		f.Set(xy[0], xy[1], pin)
-	}
-	return f
-}
-
-// highlightLayout returns the highlight placement for one (scene, frame/4)
-// group, drawing it exactly as the original per-frame code did: n sparse
-// (x, y, luminance) triples followed by four pinned positions, all from one
-// RNG seeded with sceneSeed+group. The cache is cleared wholesale past 64
-// groups to bound memory; entries are cheap to regenerate.
-func (c *Clip) highlightLayout(si, group int, s SceneSpec, sceneSeed int64) *hlLayout {
-	key := uint64(si)<<32 | uint64(uint32(group))
-	c.hlMu.Lock()
-	if l, ok := c.hlCache[key]; ok {
-		c.hlMu.Unlock()
-		return l
-	}
-	c.hlMu.Unlock()
-
-	rng := rand.New(rand.NewSource(sceneSeed + int64(group)))
+	// Sparse highlights at MaxLuma, then four pixels pinned exactly at
+	// MaxLuma (corner-adjacent spread pattern) so max-luminance scene
+	// statistics are exact. One RNG seeded per 4-frame group draws them
+	// all, so the layout changes slowly, modelling moving specular points.
+	rng := hlRngs.Get().(*rand.Rand)
+	defer hlRngs.Put(rng)
+	rng.Seed(sceneSeed + int64(off/4))
 	n := int(s.HighlightFrac * float64(c.W*c.H))
 	if n < 4 {
 		n = 4
 	}
-	l := &hlLayout{pts: make([]hlPt, n)}
 	for k := 0; k < n; k++ {
 		x := rng.Intn(c.W)
 		y := rng.Intn(c.H)
 		// Highlights near but not all exactly at the peak: a small
 		// deterministic spread populates the top of the histogram.
 		lum := s.MaxLuma - rng.Float64()*0.04*(s.MaxLuma-s.BaseLuma)
-		l.pts[k] = hlPt{x: x, y: y, lum: lum}
+		f.Set(x, y, lumaToRGB(lum+flicker, cb/2, cr/2))
 	}
+	pin := lumaToRGB(s.MaxLuma, 0, 0)
 	for k := 0; k < 4; k++ {
-		x := (rng.Intn(c.W-2) + 1)
-		y := (rng.Intn(c.H-2) + 1)
-		l.pins[k] = [2]int{x, y}
+		x := rng.Intn(c.W-2) + 1
+		y := rng.Intn(c.H-2) + 1
+		f.Set(x, y, pin)
 	}
-
-	c.hlMu.Lock()
-	if c.hlCache == nil {
-		c.hlCache = make(map[uint64]*hlLayout)
-	} else if len(c.hlCache) >= 64 {
-		clear(c.hlCache)
-	}
-	c.hlCache[key] = l
-	c.hlMu.Unlock()
-	return l
+	return f
 }
 
 // lumaToRGB builds an RGB pixel with the requested normalised luminance
