@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -289,7 +288,7 @@ func TestNodeNotFoundKeepsBreakerClosed(t *testing.T) {
 			t.Fatalf("fetch %d: %v, want ErrNotFound", i, err)
 		}
 	}
-	if st := n.peers[0].br.State(); st != breaker.Closed {
+	if st := n.Peers().State(peer); st != breaker.Closed {
 		t.Fatalf("breaker %v after clean misses, want Closed", st)
 	}
 }
@@ -323,7 +322,7 @@ func TestNodeOwnerSkipsOpenBreaker(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		n.Fetch(context.Background(), dead1, FetchRequest{Kind: "track", Digest: digest})
 	}
-	if st := n.peers[0].br.State(); st != breaker.Open {
+	if st := n.Peers().State(dead1); st != breaker.Open {
 		t.Fatalf("breaker %v after dial failures, want Open", st)
 	}
 	addr, self := n.Owner("track", digest)
@@ -335,59 +334,5 @@ func TestNodeOwnerSkipsOpenBreaker(t *testing.T) {
 	want := ranked[1]
 	if addr != want || (self != (want == n.SelfAddr())) {
 		t.Fatalf("stand-in owner %s (self=%v), want %s", addr, self, want)
-	}
-}
-
-func TestNodeStartStopLifecycle(t *testing.T) {
-	var mu sync.Mutex
-	dials := 0
-	peer := "127.0.0.1:7493"
-	n, err := New(Config{
-		Self:       "127.0.0.1:7490",
-		Peers:      []string{peer},
-		ProbeEvery: 5 * time.Millisecond,
-		Breaker: breaker.Config{
-			Window: time.Second, Buckets: 4, FailureRate: 0.5,
-			MinSamples: 1, OpenFor: 10 * time.Millisecond, HalfOpenProbes: 1, CloseAfter: 1,
-		},
-		Dial: func(network, addr string) (net.Conn, error) {
-			mu.Lock()
-			dials++
-			mu.Unlock()
-			return nil, errors.New("down")
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Stop() // Stop before Start must be a no-op
-	// Trip the breaker so the prober has something to probe.
-	n.Fetch(context.Background(), peer, FetchRequest{Kind: "t", Digest: "d"})
-	n.Start()
-	n.Start() // idempotent
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		d := dials
-		mu.Unlock()
-		if d >= 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("prober made %d dials, want >= 3", d)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	n.Stop()
-	n.Stop() // idempotent
-	mu.Lock()
-	after := dials
-	mu.Unlock()
-	time.Sleep(30 * time.Millisecond)
-	mu.Lock()
-	final := dials
-	mu.Unlock()
-	if final != after {
-		t.Fatalf("prober kept dialing after Stop (%d -> %d)", after, final)
 	}
 }

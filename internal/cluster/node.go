@@ -21,15 +21,15 @@ type Config struct {
 	// Peers are the other members' addresses (validated: no duplicates,
 	// never Self).
 	Peers []string
-	// Breaker tunes the per-peer circuit breakers; the zero value gets
-	// the same defaults the proxy's upstream breakers use.
+	// Breaker tunes the per-peer circuit breakers; zero fields get the
+	// PeerSet defaults, the same the proxy's upstream breakers use.
 	Breaker breaker.Config
 	// DialTimeout bounds connecting to a peer; FetchTimeout bounds one
 	// whole fetch RPC (write request + read response).
 	DialTimeout  time.Duration
 	FetchTimeout time.Duration
 	// ProbeEvery is how often unhealthy peers are dial-probed for
-	// recovery once Start is called (0 disables probing).
+	// recovery once the peer set is started (0 disables probing).
 	ProbeEvery time.Duration
 	// MaxArtifactBytes bounds an accepted fetch payload (<= 0 selects
 	// DefaultMaxArtifactBytes).
@@ -40,19 +40,13 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// peerNode is one remote member with its health breaker.
-type peerNode struct {
-	addr string
-	br   *breaker.Breaker
-}
-
 // Node routes artifact keys across the member list and fetches from
 // shard owners with per-peer breakers. All methods are safe for
 // concurrent use.
 type Node struct {
 	cfg     Config
 	self    string
-	peers   []*peerNode
+	peers   *PeerSet
 	members []string // self + peer addresses (routing universe)
 
 	logMu sync.Mutex
@@ -61,10 +55,6 @@ type Node struct {
 	obsMu  sync.Mutex
 	obsReg *obs.Registry
 	labels []obs.Label
-
-	probeMu   sync.Mutex
-	probeStop chan struct{}
-	probeDone chan struct{}
 }
 
 // New builds a node over the validated member list. The peer list is
@@ -84,30 +74,11 @@ func New(cfg Config) (*Node, error) {
 	if cfg.FetchTimeout <= 0 {
 		cfg.FetchTimeout = 15 * time.Second
 	}
-	brCfg := cfg.Breaker
-	if brCfg.Window == 0 {
-		brCfg = breaker.Config{
-			Window: 10 * time.Second, Buckets: 10,
-			FailureRate: 0.5, MinSamples: 2,
-			OpenFor: 3 * time.Second, HalfOpenProbes: 1, CloseAfter: 1,
-		}
-	}
-	n := &Node{cfg: cfg, self: cfg.Self, logFn: cfg.Logf}
-	n.members = append(n.members, cfg.Self)
-	for _, addr := range peers {
-		p := &peerNode{addr: addr}
-		pc := brCfg
-		user := pc.OnStateChange
-		pc.OnStateChange = func(from, to breaker.State) {
-			n.onBreakerChange(p.addr, from, to)
-			if user != nil {
-				user(from, to)
-			}
-		}
-		p.br = breaker.New(pc)
-		n.peers = append(n.peers, p)
-		n.members = append(n.members, addr)
-	}
+	n := &Node{cfg: cfg, self: cfg.Self, logFn: cfg.Logf, members: append([]string{cfg.Self}, peers...)}
+	n.peers = NewPeerSet(peers, PeerSetConfig{
+		Breaker: cfg.Breaker, Dial: cfg.Dial, DialTimeout: cfg.DialTimeout, ProbeEvery: cfg.ProbeEvery,
+		OnStateChange: n.onBreakerChange, OnProbe: n.countProbe,
+	})
 	return n, nil
 }
 
@@ -183,6 +154,10 @@ func (n *Node) SelfAddr() string { return n.self }
 // Members returns the routing universe (self included).
 func (n *Node) Members() []string { return append([]string(nil), n.members...) }
 
+// Peers returns the breaker-guarded set of remote members; the serving
+// node starts its recovery prober and stops it on drain.
+func (n *Node) Peers() *PeerSet { return n.peers }
+
 // SetLogf replaces the node's logger.
 func (n *Node) SetLogf(f func(string, ...any)) {
 	n.logMu.Lock()
@@ -207,8 +182,8 @@ func (n *Node) SetObserver(r *obs.Registry, labels ...obs.Label) {
 	n.obsReg = r
 	n.labels = labels
 	n.obsMu.Unlock()
-	for _, p := range n.peers {
-		n.peerStateGauge(p.addr).Set(float64(p.br.State()))
+	for _, a := range n.peers.Addrs() {
+		n.peerStateGauge(a).Set(float64(n.peers.State(a)))
 	}
 }
 
@@ -290,28 +265,19 @@ func (n *Node) Owner(kind, digest string) (addr string, self bool) {
 		if m == n.self {
 			return m, true
 		}
-		if p := n.peer(m); p != nil && p.br.State() != breaker.Open {
+		if n.peers.State(m) != breaker.Open {
 			return m, false
 		}
 	}
 	return n.self, true
 }
 
-func (n *Node) peer(addr string) *peerNode {
-	for _, p := range n.peers {
-		if p.addr == addr {
-			return p
-		}
-	}
-	return nil
-}
-
 // Fetch retrieves one artifact's encoded bytes from the peer at addr,
-// guarded by that peer's breaker and the configured deadlines. A clean
-// remote miss (ErrNotFound) settles the breaker as a success — the
-// peer answered correctly — while checksum mismatches, framing errors
-// and timeouts count against it. Every error tells the caller to fall
-// back to local compute; wrong bytes are never returned.
+// guarded by that peer's breaker and the configured deadlines. The
+// peer set settles the breaker: a clean remote miss (ErrNotFound) is
+// the peer answering correctly, while checksum mismatches, framing
+// errors and timeouts count against it. Every error tells the caller to
+// fall back to local compute; wrong bytes are never returned.
 func (n *Node) Fetch(ctx context.Context, addr string, req FetchRequest) (payload []byte, err error) {
 	sp := obs.StartSpan(ctx, "cluster.peer_fill")
 	defer sp.End()
@@ -326,23 +292,17 @@ func (n *Node) Fetch(ctx context.Context, addr string, req FetchRequest) (payloa
 			n.countFill()
 		}
 	}()
-	p := n.peer(addr)
-	if p == nil {
-		return nil, fmt.Errorf("%w: %s is not a member", ErrPeerUnavailable, addr)
-	}
-	done, ok := p.br.Allow()
-	if !ok {
-		return nil, fmt.Errorf("%w: breaker open for %s", ErrPeerUnavailable, addr)
+	done, err := n.peers.Allow(addr)
+	if err != nil {
+		return nil, err
 	}
 	payload, err = n.fetchOnce(ctx, addr, req)
-	// A clean not-found is a healthy peer saying "compute it yourself";
-	// only transport, framing and integrity failures open the breaker.
-	done(err == nil || errors.Is(err, ErrNotFound))
+	done(err)
 	return payload, err
 }
 
 func (n *Node) fetchOnce(ctx context.Context, addr string, req FetchRequest) ([]byte, error) {
-	conn, err := n.dialAddr(addr)
+	conn, err := n.peers.Dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %s: %v", ErrPeerUnavailable, addr, err)
 	}
@@ -372,72 +332,4 @@ func fillFailureReason(err error) string {
 	default:
 		return "other"
 	}
-}
-
-func (n *Node) dialAddr(addr string) (net.Conn, error) {
-	if n.cfg.Dial != nil {
-		return n.cfg.Dial("tcp", addr)
-	}
-	return net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
-}
-
-// Start launches the recovery prober: unhealthy peers (anything not
-// Closed) are dial-probed every ProbeEvery, driving their breakers
-// open -> half-open -> closed as they rejoin, without waiting for a
-// miss to route there. Idempotent; no-op when probing is disabled.
-func (n *Node) Start() {
-	if n.cfg.ProbeEvery <= 0 || len(n.peers) == 0 {
-		return
-	}
-	n.probeMu.Lock()
-	defer n.probeMu.Unlock()
-	if n.probeStop != nil {
-		return
-	}
-	n.probeStop = make(chan struct{})
-	n.probeDone = make(chan struct{})
-	go n.probeLoop(n.probeStop, n.probeDone)
-}
-
-func (n *Node) probeLoop(stop, done chan struct{}) {
-	defer close(done)
-	t := time.NewTicker(n.cfg.ProbeEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			for _, p := range n.peers {
-				if p.br.State() == breaker.Closed {
-					continue
-				}
-				brDone, ok := p.br.Allow()
-				if !ok {
-					continue
-				}
-				n.countProbe()
-				conn, err := n.dialAddr(p.addr)
-				if err == nil {
-					conn.Close()
-				}
-				brDone(err == nil)
-			}
-		}
-	}
-}
-
-// Stop halts the recovery prober and waits for it to exit. Idempotent
-// and safe when Start was never called — shutdown paths call it
-// unconditionally so probe goroutines never outlive the node.
-func (n *Node) Stop() {
-	n.probeMu.Lock()
-	stop, done := n.probeStop, n.probeDone
-	n.probeStop, n.probeDone = nil, nil
-	n.probeMu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
 }

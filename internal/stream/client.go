@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -391,7 +392,7 @@ func (c *Client) consume(ctx context.Context, s *session, r io.Reader, req Reque
 	if remoteErr != nil {
 		return remoteErr
 	}
-	reader, err := container.NewReader(io.MultiReader(&sliceReader{b: magic[:]}, cr))
+	reader, err := container.NewReader(io.MultiReader(bytes.NewReader(magic[:]), cr))
 	if err != nil {
 		return classifyStreamErr(err)
 	}

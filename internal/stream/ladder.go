@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -232,7 +233,7 @@ func (c *Client) consumeAdaptive(ctx context.Context, s *session, rw io.ReadWrit
 	if remoteErr != nil {
 		return remoteErr
 	}
-	reader, err := container.NewReader(io.MultiReader(&sliceReader{b: magic[:]}, cr))
+	reader, err := container.NewReader(io.MultiReader(bytes.NewReader(magic[:]), cr))
 	if err != nil {
 		return classifyStreamErr(err)
 	}

@@ -40,8 +40,7 @@ type nodeCore struct {
 	cancel context.CancelFunc
 
 	// drainCh closes when a graceful shutdown begins: queued admissions
-	// shed immediately while in-flight sessions keep streaming, and
-	// background probers (upstream recovery, cluster peer health) stop.
+	// shed immediately while in-flight sessions keep streaming.
 	drainCh   chan struct{}
 	drainOnce sync.Once
 	draining  atomic.Bool
@@ -64,6 +63,9 @@ type nodeCore struct {
 	// list: local misses fill from the shard owner before computing,
 	// and incoming AFR1 frames are answered through resolveFetch.
 	cnode *cluster.Node
+	// upstreams, when set, is the proxy's upstream origin set: readiness
+	// fails while every one of its breakers is open.
+	upstreams *cluster.PeerSet
 	// resolveFetch produces the encoded bytes of a requested artifact
 	// for a peer (role-specific: the server resolves from its catalog,
 	// the proxy through its upstream fetch path).
@@ -161,16 +163,33 @@ func (n *nodeCore) tierFor(clip string) tier {
 	return tier{cache: n.cache, store: n.store, node: n.cnode, clip: clip}
 }
 
-// serve installs ln and accepts connections, running handler for each
-// inside the shared session wrapper (conn bookkeeping, panic
-// isolation, error accounting).
+// peerSets returns every breaker-guarded peer set the node holds: the
+// proxy's upstreams and the cluster's peers.
+func (n *nodeCore) peerSets() []*cluster.PeerSet {
+	var sets []*cluster.PeerSet
+	if n.upstreams != nil {
+		sets = append(sets, n.upstreams)
+	}
+	if n.cnode != nil {
+		sets = append(sets, n.cnode.Peers())
+	}
+	return sets
+}
+
+// serve installs ln, starts the peer sets' recovery probers and accepts
+// connections, running handler for each inside the shared session
+// wrapper (conn bookkeeping, panic isolation, error accounting).
 func (n *nodeCore) serve(ln net.Listener, handler func(net.Conn) error) {
 	n.mu.Lock()
 	n.ln = ln
-	n.mu.Unlock()
-	if n.cnode != nil {
-		n.cnode.Start()
+	if !n.closed {
+		// Under mu, so a concurrent beginDrain either stops the probers
+		// started here or has closed the node before any start.
+		for _, ps := range n.peerSets() {
+			ps.Start()
+		}
 	}
+	n.mu.Unlock()
 	go n.acceptLoop(ln, handler)
 }
 
@@ -229,10 +248,11 @@ func (n *nodeCore) beginDrain() {
 		n.ln.Close()
 	}
 	n.mu.Unlock()
-	if n.cnode != nil {
-		// Peer-health probing must not outlive the node's useful life:
-		// a draining node neither routes nor fills.
-		n.cnode.Stop()
+	// Peer-health probing must not outlive the node's useful life: a
+	// draining node neither routes, fills nor fetches upstream. Stop
+	// waits, so no probe dials once the drain has begun.
+	for _, ps := range n.peerSets() {
+		ps.Stop()
 	}
 }
 
@@ -278,8 +298,8 @@ func (n *nodeCore) Close() {
 }
 
 // Ready implements the readiness contract for /readyz: nil while the
-// node is accepting and not draining. (The proxy shadows this to also
-// require a non-open upstream breaker.)
+// node is accepting, not draining, and — on a proxy — at least one
+// upstream breaker is not open.
 func (n *nodeCore) Ready() error {
 	if n.draining.Load() {
 		return errors.New("draining")
@@ -291,6 +311,9 @@ func (n *nodeCore) Ready() error {
 	}
 	if n.closed {
 		return errors.New("closed")
+	}
+	if n.upstreams != nil && n.upstreams.AllOpen() {
+		return errors.New("all upstream breakers open")
 	}
 	return nil
 }

@@ -1,13 +1,12 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/anncache"
@@ -30,19 +29,21 @@ import (
 // the server node suffices" (§3).
 //
 // The proxy assumes the upstream tier is unreliable: it can be given
-// several upstream origins in failover order, each guarded by a circuit
-// breaker — a dead or flapping origin is skipped until its half-open
-// probe succeeds. Fetches carry dial and per-read deadlines and are
-// retried with backoff, and when every upstream is down a
-// previously-fetched copy of the clip is served stale rather than
-// failing the client. The accept/drain/cache plumbing lives in the
+// several upstream origins in failover order, held in the same
+// cluster.PeerSet a cluster node keeps its peers in: each origin is
+// guarded by a circuit breaker, so a dead or flapping origin is skipped
+// until its half-open probe succeeds. Fetches carry dial and per-read
+// deadlines and are retried with backoff, and when every upstream is
+// down a previously-fetched copy of the clip is served stale rather
+// than failing the client. The accept/drain/cache plumbing lives in the
 // embedded nodeCore, shared with the Server.
 type Proxy struct {
 	nodeCore
 
-	upstreams []*upstreamNode
-	brCfg     breaker.Config
-	enc       EncodeConfig
+	// upCfg builds the upstream peer set (nodeCore.upstreams); the
+	// setters below rebuild the set after changing it.
+	upCfg cluster.PeerSetConfig
+	enc   EncodeConfig
 
 	upstreamLat     *obs.Histogram
 	upstreamRetries *obs.Counter
@@ -52,23 +53,8 @@ type Proxy struct {
 
 	// Upstream fetch behaviour.
 	retry        RetryPolicy
-	dialTimeout  time.Duration
 	readTimeout  time.Duration
 	writeTimeout time.Duration
-	probeEvery   time.Duration
-	dial         func(network, addr string) (net.Conn, error)
-
-	// probeMu guards the prober's lifetime channels: Serve starts it at
-	// most once, and drain/shutdown paths wait for it without racing a
-	// concurrent start.
-	probeMu   sync.Mutex
-	probeDone chan struct{}
-}
-
-// upstreamNode is one upstream origin with its circuit breaker.
-type upstreamNode struct {
-	addr string
-	br   *breaker.Breaker
 }
 
 // proxyEntry is one cached upstream clip.
@@ -90,44 +76,25 @@ func (e *proxyEntry) cost() int64 {
 // them, falling over to the next on failure.
 func NewProxy(upstreams ...string) *Proxy {
 	p := &Proxy{
-		retry: RetryPolicy{MaxAttempts: 3},
-		brCfg: breaker.Config{
-			Window: 10 * time.Second, Buckets: 10,
-			FailureRate: 0.5, MinSamples: 2,
-			OpenFor: 3 * time.Second, HalfOpenProbes: 1, CloseAfter: 1,
-		},
-		dialTimeout:  5 * time.Second,
+		retry:        RetryPolicy{MaxAttempts: 3},
 		readTimeout:  10 * time.Second,
 		writeTimeout: 30 * time.Second,
-		probeEvery:   500 * time.Millisecond,
+	}
+	p.upCfg = cluster.PeerSetConfig{
+		DialTimeout:   5 * time.Second,
+		ProbeEvery:    500 * time.Millisecond,
+		OnStateChange: p.onBreakerChange,
+		OnProbe:       func() { p.probesTotal.Inc() },
 	}
 	p.initCore("proxy")
 	p.resolveFetch = p.resolveFetchRequest
-	p.setUpstreams(upstreams)
+	p.upstreams = cluster.NewPeerSet(upstreams, p.upCfg)
 	return p
 }
 
-// setUpstreams (re)builds the upstream list with fresh breakers.
-func (p *Proxy) setUpstreams(addrs []string) {
-	p.upstreams = nil
-	for _, a := range addrs {
-		a = strings.TrimSpace(a)
-		if a == "" {
-			continue
-		}
-		node := &upstreamNode{addr: a}
-		cfg := p.brCfg
-		user := cfg.OnStateChange
-		cfg.OnStateChange = func(from, to breaker.State) {
-			p.onBreakerChange(node.addr, from, to)
-			if user != nil {
-				user(from, to)
-			}
-		}
-		node.br = breaker.New(cfg)
-		p.upstreams = append(p.upstreams, node)
-	}
-}
+// rebuildUpstreams re-creates the upstream set, with fresh breakers,
+// after a setter changed its config.
+func (p *Proxy) rebuildUpstreams() { p.upstreams = cluster.NewPeerSet(p.upstreams.Addrs(), p.upCfg) }
 
 // onBreakerChange logs and exports every breaker transition.
 func (p *Proxy) onBreakerChange(addr string, from, to breaker.State) {
@@ -145,29 +112,26 @@ func (p *Proxy) onBreakerChange(addr string, from, to breaker.State) {
 }
 
 // SetBreakerConfig overrides the per-upstream circuit-breaker tuning
-// (rolling failure window, open cool-down, probe budget); the
-// OnStateChange callback, if any, is chained after the proxy's own
-// logging/metrics hook. Call before Listen.
+// (rolling failure window, open cool-down, probe budget; zero fields get
+// the cluster.PeerSet defaults); the OnStateChange callback, if any, is
+// chained after the proxy's own logging/metrics hook. Call before
+// Listen.
 func (p *Proxy) SetBreakerConfig(cfg breaker.Config) {
-	p.brCfg = cfg
-	addrs := p.UpstreamAddrs()
-	p.setUpstreams(addrs)
+	p.upCfg.Breaker = cfg
+	p.rebuildUpstreams()
 }
 
 // SetProbeInterval sets how often unhealthy upstreams are probed for
 // recovery (dial-level reachability; 0 disables probing). Call before
 // Listen.
-func (p *Proxy) SetProbeInterval(d time.Duration) { p.probeEvery = d }
+func (p *Proxy) SetProbeInterval(d time.Duration) {
+	p.upCfg.ProbeEvery = d
+	p.rebuildUpstreams()
+}
 
 // UpstreamAddrs returns the configured upstream addresses in failover
 // order.
-func (p *Proxy) UpstreamAddrs() []string {
-	addrs := make([]string, len(p.upstreams))
-	for i, u := range p.upstreams {
-		addrs[i] = u.addr
-	}
-	return addrs
-}
+func (p *Proxy) UpstreamAddrs() []string { return p.upstreams.Addrs() }
 
 // SetObserver installs a telemetry registry. Call before Listen.
 func (p *Proxy) SetObserver(r *obs.Registry) {
@@ -184,10 +148,10 @@ func (p *Proxy) SetObserver(r *obs.Registry) {
 		"Fetches served by a non-primary upstream after failover.", obs.L("role", "proxy"))
 	p.probesTotal = r.Counter("proxy_upstream_probes_total",
 		"Recovery probes sent to unhealthy upstreams.", obs.L("role", "proxy"))
-	for _, u := range p.upstreams {
+	for _, a := range p.upstreams.Addrs() {
 		r.Gauge("proxy_breaker_state",
 			"Per-upstream breaker state (0 closed, 1 half-open, 2 open).",
-			obs.L("role", "proxy"), obs.L("upstream", u.addr)).Set(float64(u.br.State()))
+			obs.L("role", "proxy"), obs.L("upstream", a)).Set(float64(p.upstreams.State(a)))
 	}
 }
 
@@ -205,7 +169,8 @@ func (p *Proxy) SetRetryPolicy(r RetryPolicy) {
 // before Listen.
 func (p *Proxy) SetTimeouts(dial, read, write time.Duration) {
 	if dial > 0 {
-		p.dialTimeout = dial
+		p.upCfg.DialTimeout = dial
+		p.rebuildUpstreams()
 	}
 	if read > 0 {
 		p.readTimeout = read
@@ -215,10 +180,11 @@ func (p *Proxy) SetTimeouts(dial, read, write time.Duration) {
 	}
 }
 
-// SetDial overrides the upstream dial function (tests inject faulty or
-// tracked links).
+// SetDial overrides the upstream dial function for fetches and recovery
+// probes (tests inject faulty or tracked links). Call before Listen.
 func (p *Proxy) SetDial(dial func(network, addr string) (net.Conn, error)) {
-	p.dial = dial
+	p.upCfg.Dial = dial
+	p.rebuildUpstreams()
 }
 
 // Listen starts accepting client connections.
@@ -232,107 +198,12 @@ func (p *Proxy) Listen(addr string) (net.Addr, error) {
 }
 
 // Serve accepts client connections from a caller-provided listener
-// (chaos runs wrap a fault-injecting listener around a plain TCP one)
-// and starts the upstream recovery prober.
-func (p *Proxy) Serve(ln net.Listener) {
-	p.probeMu.Lock()
-	if p.probeEvery > 0 && len(p.upstreams) > 0 && p.probeDone == nil && !p.draining.Load() {
-		p.probeDone = make(chan struct{})
-		go p.probeLoop(p.probeDone)
-	}
-	p.probeMu.Unlock()
-	p.serve(ln, p.clientSession)
-}
+// (chaos runs wrap a fault-injecting listener around a plain TCP one);
+// the node core starts the upstream recovery prober.
+func (p *Proxy) Serve(ln net.Listener) { p.serve(ln, p.clientSession) }
 
 // clientSession adapts handle to the shared session wrapper.
 func (p *Proxy) clientSession(conn net.Conn) error { return p.handle(conn) }
-
-// probeLoop periodically probes unhealthy upstreams (anything not
-// Closed) with a dial, driving their breakers open -> half-open ->
-// closed as the origin recovers, without waiting for client traffic.
-// It exits as soon as a drain begins — a draining node has no business
-// dialing its upstreams — and Shutdown/Close wait for that exit, so
-// probe goroutines never outlive the proxy.
-func (p *Proxy) probeLoop(done chan struct{}) {
-	defer close(done)
-	t := time.NewTicker(p.probeEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-p.ctx.Done():
-			return
-		case <-p.drainCh:
-			return
-		case <-t.C:
-			for _, u := range p.upstreams {
-				if u.br.State() == breaker.Closed {
-					continue
-				}
-				brDone, ok := u.br.Allow()
-				if !ok {
-					continue
-				}
-				p.probesTotal.Inc()
-				conn, err := p.dialAddr(u.addr)
-				if err == nil {
-					conn.Close()
-				}
-				brDone(err == nil)
-			}
-		}
-	}
-}
-
-// waitProber blocks until the recovery prober has exited (no-op when it
-// never started).
-func (p *Proxy) waitProber() {
-	p.probeMu.Lock()
-	done := p.probeDone
-	p.probeMu.Unlock()
-	if done != nil {
-		<-done
-	}
-}
-
-// Shutdown gracefully stops the proxy: stop accepting, let in-flight
-// sessions finish, then force-close whatever remains when ctx expires
-// (returning the context error). The recovery prober is stopped at
-// drain begin and has exited by the time Shutdown returns.
-func (p *Proxy) Shutdown(ctx context.Context) error {
-	err := p.nodeCore.Shutdown(ctx)
-	p.waitProber()
-	return err
-}
-
-// Close stops the proxy listener, cancels in-flight sessions and waits
-// for them and the recovery prober (an immediate, non-draining
-// shutdown).
-func (p *Proxy) Close() {
-	p.nodeCore.Close()
-	p.waitProber()
-}
-
-// Ready implements the readiness contract for /readyz: nil while the
-// proxy is accepting, not draining, and at least one upstream breaker is
-// not open.
-func (p *Proxy) Ready() error {
-	if err := p.nodeCore.Ready(); err != nil {
-		return err
-	}
-	if len(p.upstreams) > 0 {
-		allOpen := true
-		for _, u := range p.upstreams {
-			if u.br.State() != breaker.Open {
-				allOpen = false
-				break
-			}
-		}
-		if allOpen {
-			return errors.New("all upstream breakers open")
-		}
-	}
-	return nil
-}
 
 func (p *Proxy) handle(rawConn net.Conn) error {
 	ctx := obs.WithRegistry(p.ctx, p.obsReg)
@@ -545,19 +416,20 @@ func (p *Proxy) fetchAndAnnotate(ctx context.Context, clip, device string) (*pro
 // with the outcome. A success from a non-primary upstream counts as a
 // failover.
 func (p *Proxy) fetchOnce(ctx context.Context, clip, device string) (core.Source, error) {
-	if len(p.upstreams) == 0 {
+	addrs := p.upstreams.Addrs()
+	if len(addrs) == 0 {
 		return nil, errors.New("no upstreams configured")
 	}
 	var lastErr error
 	tried := 0
-	for i, u := range p.upstreams {
-		done, ok := u.br.Allow()
-		if !ok {
+	for i, addr := range addrs {
+		done, err := p.upstreams.Allow(addr)
+		if err != nil {
 			continue
 		}
 		tried++
-		src, err := p.fetchRaw(ctx, u.addr, clip, device)
-		done(err == nil)
+		src, err := p.fetchRaw(ctx, addr, clip, device)
+		done(err)
 		if err != nil {
 			lastErr = err
 			continue
@@ -568,7 +440,7 @@ func (p *Proxy) fetchOnce(ctx context.Context, clip, device string) (core.Source
 		return src, nil
 	}
 	if tried == 0 {
-		return nil, fmt.Errorf("all %d upstreams unavailable (breakers open)", len(p.upstreams))
+		return nil, fmt.Errorf("all %d upstreams unavailable (breakers open)", len(addrs))
 	}
 	return nil, lastErr
 }
@@ -586,7 +458,7 @@ func (p *Proxy) fetchRaw(ctx context.Context, addr, clip, device string) (src co
 			sp.SetAttr("error", err.Error())
 		}
 	}()
-	rawConn, err := p.dialAddr(addr)
+	rawConn, err := p.upstreams.Dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("upstream unreachable: %w", err)
 	}
@@ -608,7 +480,7 @@ func (p *Proxy) fetchRaw(ctx context.Context, addr, clip, device string) (src co
 	if remoteErr != nil {
 		return nil, remoteErr
 	}
-	reader, err := container.NewReader(io.MultiReader(magicReader(magic), conn))
+	reader, err := container.NewReader(io.MultiReader(bytes.NewReader(magic[:]), conn))
 	if err != nil {
 		return nil, err
 	}
@@ -642,13 +514,6 @@ func (p *Proxy) fetchRaw(ctx context.Context, addr, clip, device string) (src co
 	return mem, nil
 }
 
-func (p *Proxy) dialAddr(addr string) (net.Conn, error) {
-	if p.dial != nil {
-		return p.dial("tcp", addr)
-	}
-	return net.DialTimeout("tcp", addr, p.dialTimeout)
-}
-
 // memSource is a decoded in-memory clip.
 type memSource struct {
 	w, h, fps int
@@ -659,16 +524,3 @@ func (m *memSource) Size() (int, int)         { return m.w, m.h }
 func (m *memSource) FPS() int                 { return m.fps }
 func (m *memSource) TotalFrames() int         { return len(m.frames) }
 func (m *memSource) Frame(i int) *frame.Frame { return m.frames[i] }
-
-func magicReader(m [4]byte) io.Reader { return &sliceReader{b: m[:]} }
-
-type sliceReader struct{ b []byte }
-
-func (s *sliceReader) Read(p []byte) (int, error) {
-	if len(s.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, s.b)
-	s.b = s.b[n:]
-	return n, nil
-}

@@ -578,12 +578,12 @@ func TestProxyReadyReflectsBreakers(t *testing.T) {
 	if err := p.Ready(); err != nil {
 		t.Fatalf("Ready() = %v while serving, want nil", err)
 	}
-	done, ok := p.upstreams[0].br.Allow()
-	if !ok {
-		t.Fatal("breaker rejected the priming call")
+	done, err := p.upstreams.Allow("127.0.0.1:1")
+	if err != nil {
+		t.Fatalf("breaker rejected the priming call: %v", err)
 	}
-	done(false) // MinSamples 1: trips open
-	err := p.Ready()
+	done(errors.New("upstream down")) // MinSamples 1: trips open
+	err = p.Ready()
 	if err == nil || !strings.Contains(err.Error(), "breakers open") {
 		t.Fatalf("Ready() = %v with the only breaker open, want all-breakers-open", err)
 	}
