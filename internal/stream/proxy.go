@@ -3,11 +3,13 @@ package stream
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"time"
+	"unsafe"
 
 	"repro/internal/anncache"
 	"repro/internal/annotation"
@@ -18,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/frame"
 	"repro/internal/obs"
+	"repro/internal/pixel"
 	"repro/internal/scene"
 )
 
@@ -62,13 +65,18 @@ type proxyEntry struct {
 	src    core.Source
 	track  *annotation.Track
 	digest string
+	// fp is the SHA-256 of the upstream's raw response, from the
+	// response magic through the last frame packet. A refetch with the
+	// same fp reuses the entry without decoding it again.
+	fp [sha256.Size]byte
 }
 
 // cost approximates the entry's resident bytes: the decoded frames
-// dominate (24 bytes per RGB pixel), plus the encoded track.
+// dominate, plus the fingerprint and the encoded track.
 func (e *proxyEntry) cost() int64 {
 	w, h := e.src.Size()
-	return int64(e.src.TotalFrames())*int64(w)*int64(h)*24 + int64(e.track.Size())
+	pix := int64(e.src.TotalFrames()) * int64(w) * int64(h) * int64(unsafe.Sizeof(pixel.RGB{}))
+	return pix + int64(len(e.fp)) + int64(e.track.Size())
 }
 
 // NewProxy builds a proxy over one or more upstream server addresses in
@@ -137,7 +145,7 @@ func (p *Proxy) UpstreamAddrs() []string { return p.upstreams.Addrs() }
 func (p *Proxy) SetObserver(r *obs.Registry) {
 	p.nodeCore.SetObserver(r)
 	p.upstreamLat = r.Histogram("proxy_upstream_latency_seconds",
-		"Time to fetch and decode a whole raw clip from the upstream server.",
+		"Time to fetch and revalidate a whole raw clip from the upstream server; decode only when content changed.",
 		obs.DefLatencyBuckets, obs.L("role", "proxy"))
 	p.upstreamRetries = r.Counter("proxy_upstream_retries_total",
 		"Upstream fetch attempts retried after a failure.", obs.L("role", "proxy"))
@@ -340,12 +348,17 @@ func (p *Proxy) resolveFetchRequest(ctx context.Context, req cluster.FetchReques
 // fetchSource returns the clip's decoded source and annotation track.
 // Every request revalidates against the upstream (cache.Do: concurrent
 // sessions share one in-flight fetch, but a cached copy never suppresses
-// the fetch), and only when every retry fails does it degrade to the
+// the fetch); a refetch whose bytes match the cached copy's fingerprint
+// reuses that copy. Only when every retry fails does it degrade to the
 // stale cached copy.
 func (p *Proxy) fetchSource(ctx context.Context, clip, device string) (*proxyEntry, bool, error) {
 	key := anncache.Key{Kind: "clip", Digest: clip, Quality: -1}
+	var prev *proxyEntry
+	if v, ok := p.cache.Peek(key); ok {
+		prev = v.(*proxyEntry)
+	}
 	v, err := p.cache.Do(key, func() (any, int64, error) {
-		e, err := p.fetchAndAnnotate(ctx, clip, device)
+		e, err := p.fetchAndAnnotate(ctx, clip, device, prev)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -365,11 +378,12 @@ func (p *Proxy) fetchSource(ctx context.Context, clip, device string) (*proxyEnt
 }
 
 // fetchAndAnnotate pulls the clip from the upstream with bounded retries
-// and annotates it (the proxy's transcoder role). The track is cached by
-// content digest, so refetching unchanged content skips re-annotation —
-// and in a cluster, the track's shard owner is asked before the local
-// pipeline runs.
-func (p *Proxy) fetchAndAnnotate(ctx context.Context, clip, device string) (*proxyEntry, error) {
+// and annotates it (the proxy's transcoder role). Unchanged bytes return
+// prev as is. Changed bytes are digested, and the track is cached by
+// content digest, so content seen before skips re-annotation — and in a
+// cluster, the track's shard owner is asked before the local pipeline
+// runs.
+func (p *Proxy) fetchAndAnnotate(ctx context.Context, clip, device string, prev *proxyEntry) (*proxyEntry, error) {
 	retry := p.retry.withDefaults()
 	var lastErr error
 	for attempt := 0; attempt < retry.MaxAttempts; attempt++ {
@@ -385,15 +399,19 @@ func (p *Proxy) fetchAndAnnotate(ctx context.Context, clip, device string) (*pro
 			return nil, p.ctx.Err()
 		}
 		start := time.Now()
-		src, err := p.fetchOnce(ctx, clip, device)
+		e, err := p.fetchOnce(ctx, clip, device, prev)
 		if err != nil {
 			lastErr = err
 			continue
 		}
 		p.upstreamLat.Observe(time.Since(start).Seconds())
-		dg := core.SourceDigest(src)
+		if e == prev {
+			return e, nil
+		}
+		src := e.src
+		e.digest = core.SourceDigest(src)
 		tAny, err := p.tierFor(clip).getOrCompute(ctx,
-			anncache.Key{Kind: "track", Digest: dg, Quality: -1}, "", trackCodec,
+			anncache.Key{Kind: "track", Digest: e.digest, Quality: -1}, "", trackCodec,
 			func(ctx context.Context) (any, int64, error) {
 				t, _, err := core.AnnotatePipeline(ctx,
 					src, scene.DefaultConfig(src.FPS()), nil,
@@ -406,7 +424,8 @@ func (p *Proxy) fetchAndAnnotate(ctx context.Context, clip, device string) (*pro
 		if err != nil {
 			return nil, fmt.Errorf("annotation failed: %w", err)
 		}
-		return &proxyEntry{src: src, track: tAny.(*annotation.Track), digest: dg}, nil
+		e.track = tAny.(*annotation.Track)
+		return e, nil
 	}
 	return nil, fmt.Errorf("upstream unreachable after %d attempts: %v", retry.MaxAttempts, lastErr)
 }
@@ -415,7 +434,7 @@ func (p *Proxy) fetchAndAnnotate(ctx context.Context, clip, device string) (*pro
 // breaker rejects the call; each attempt settles its upstream's breaker
 // with the outcome. A success from a non-primary upstream counts as a
 // failover.
-func (p *Proxy) fetchOnce(ctx context.Context, clip, device string) (core.Source, error) {
+func (p *Proxy) fetchOnce(ctx context.Context, clip, device string, prev *proxyEntry) (*proxyEntry, error) {
 	addrs := p.upstreams.Addrs()
 	if len(addrs) == 0 {
 		return nil, errors.New("no upstreams configured")
@@ -428,7 +447,7 @@ func (p *Proxy) fetchOnce(ctx context.Context, clip, device string) (core.Source
 			continue
 		}
 		tried++
-		src, err := p.fetchRaw(ctx, addr, clip, device)
+		e, err := p.fetchRaw(ctx, addr, clip, device, prev)
 		done(err)
 		if err != nil {
 			lastErr = err
@@ -437,7 +456,7 @@ func (p *Proxy) fetchOnce(ctx context.Context, clip, device string) (core.Source
 		if i > 0 && p.failovers != nil {
 			p.failovers.Inc()
 		}
-		return src, nil
+		return e, nil
 	}
 	if tried == 0 {
 		return nil, fmt.Errorf("all %d upstreams unavailable (breakers open)", len(addrs))
@@ -445,11 +464,15 @@ func (p *Proxy) fetchOnce(ctx context.Context, clip, device string) (core.Source
 	return nil, lastErr
 }
 
-// fetchRaw pulls the unannotated stream from one upstream and buffers
-// the decoded frames. The upstream connection is closed on every path,
-// and each read carries a deadline so a hung upstream fails the attempt
-// instead of wedging the session.
-func (p *Proxy) fetchRaw(ctx context.Context, addr, clip, device string) (src core.Source, err error) {
+// fetchRaw pulls the unannotated stream from one upstream and
+// fingerprints it as it streams in. Only a complete stream is compared
+// with prev: a match returns prev without decoding, anything else is
+// decoded into a new entry whose digest and track the caller fills in.
+// A decode error fails the attempt like a transport error, so it
+// settles this upstream's breaker. The upstream connection is closed on
+// every path, and each read carries a deadline so a hung upstream fails
+// the attempt instead of wedging the session.
+func (p *Proxy) fetchRaw(ctx context.Context, addr, clip, device string, prev *proxyEntry) (_ *proxyEntry, err error) {
 	fctx, sp := obs.StartSpanCtx(ctx, "proxy.fetch_raw")
 	defer sp.End()
 	sp.SetAttr("upstream", addr)
@@ -480,16 +503,15 @@ func (p *Proxy) fetchRaw(ctx context.Context, addr, clip, device string) (src co
 	if remoteErr != nil {
 		return nil, remoteErr
 	}
-	reader, err := container.NewReader(io.MultiReader(bytes.NewReader(magic[:]), conn))
+	// The container reader consumes exactly the stream's bytes, so the
+	// hash covers the magic through the last frame packet.
+	h := sha256.New()
+	reader, err := container.NewReader(io.TeeReader(io.MultiReader(bytes.NewReader(magic[:]), conn), h))
 	if err != nil {
 		return nil, err
 	}
 	hdr := reader.Header()
-	dec, err := codec.NewDecoder(hdr.W, hdr.H)
-	if err != nil {
-		return nil, err
-	}
-	mem := &memSource{w: hdr.W, h: hdr.H, fps: hdr.FPS}
+	var packets []*codec.EncodedFrame
 	for {
 		ef, err := reader.ReadFrame()
 		if err == io.EOF {
@@ -498,20 +520,33 @@ func (p *Proxy) fetchRaw(ctx context.Context, addr, clip, device string) (src co
 		if err != nil {
 			return nil, err
 		}
-		f, err := dec.Decode(ef)
-		if err != nil {
-			return nil, err
-		}
-		mem.frames = append(mem.frames, f)
+		packets = append(packets, ef)
 	}
-	if len(mem.frames) == 0 {
+	if len(packets) == 0 {
 		return nil, fmt.Errorf("upstream sent empty stream")
 	}
-	if hdr.FrameCount > 0 && len(mem.frames) < hdr.FrameCount {
+	if hdr.FrameCount > 0 && len(packets) < hdr.FrameCount {
 		return nil, fmt.Errorf("%w: upstream sent %d of %d frames",
-			ErrTruncatedStream, len(mem.frames), hdr.FrameCount)
+			ErrTruncatedStream, len(packets), hdr.FrameCount)
 	}
-	return mem, nil
+	var fp [sha256.Size]byte
+	h.Sum(fp[:0])
+	if prev != nil && prev.fp == fp {
+		sp.SetAttr("revalidate", "unchanged")
+		return prev, nil
+	}
+	sp.SetAttr("revalidate", "changed")
+	dec, err := codec.NewDecoder(hdr.W, hdr.H)
+	if err != nil {
+		return nil, err
+	}
+	mem := &memSource{w: hdr.W, h: hdr.H, fps: hdr.FPS, frames: make([]*frame.Frame, len(packets))}
+	for i, ef := range packets {
+		if mem.frames[i], err = dec.Decode(ef); err != nil {
+			return nil, err
+		}
+	}
+	return &proxyEntry{src: mem, fp: fp}, nil
 }
 
 // memSource is a decoded in-memory clip.
