@@ -310,6 +310,10 @@ func Decode(data []byte) (*Track, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	qn := int(p.u8())
+	if qn == 0 {
+		// A track without quality levels has no target to play at.
+		return nil, fmt.Errorf("%w: no quality levels", ErrCorrupt)
+	}
 	t := &Track{Quality: make([]float64, qn)}
 	for i := range t.Quality {
 		t.Quality[i] = float64(p.u8()) / 255

@@ -91,3 +91,16 @@ func TestEmptyTrackRoundTrip(t *testing.T) {
 		t.Fatalf("empty track round-trip mismatch: %+v", dec)
 	}
 }
+
+// TestDecodeRejectsNoQualityLevels: a track needs at least one quality
+// level, or there is no target to play at; players index column 0.
+func TestDecodeRejectsNoQualityLevels(t *testing.T) {
+	for _, tr := range []*Track{
+		{FPS: 30},
+		{FPS: 30, Records: []Record{{Frames: 5}, {Frames: 7}}},
+	} {
+		if dec, err := Decode(tr.Encode()); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Decode(%d records, no quality levels) = (%+v, %v), want ErrCorrupt", len(tr.Records), dec, err)
+		}
+	}
+}

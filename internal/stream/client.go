@@ -283,17 +283,18 @@ type session struct {
 	expected uint32
 	level    int
 	prev     int
-	sceneIdx int
 	levelSum float64
 	lumaSum  float64
 	degraded map[string]bool
-	// Adaptive-ladder state. curQi is the rung the server is serving
-	// (marker driven); ceilQi the originally requested rung (-1 until the
-	// first header); reqRung the rung last asked of the server; primed
-	// gates ladder decisions until the playout buffer has once filled to
-	// the down-switch threshold, so a fresh stream does not read its own
-	// startup as congestion. qualities is the track's quality column,
-	// kept so a resume can re-request the rung in force.
+	// Quality-rung state. curQi is the rung the server is serving (the
+	// negotiated one in a fixed session, marker driven in an adaptive
+	// one). The rest is adaptive only: ceilQi is the originally requested
+	// rung (-1 until the first header); reqRung the rung last asked of
+	// the server; primed gates ladder decisions until the playout buffer
+	// has once filled to the down-switch threshold, so a fresh stream
+	// does not read its own startup as congestion. qualities is the
+	// track's quality column, kept so a resume can re-request the rung in
+	// force.
 	curQi     int
 	ceilQi    int
 	reqRung   int
@@ -370,18 +371,23 @@ func (c *Client) attempt(ctx context.Context, s *session, addr, clip string) (re
 	if err := WriteRequest(conn, req); err != nil {
 		return false, fmt.Errorf("%w: %v", ErrTruncatedStream, err)
 	}
-	resumed = req.StartFrame > 0
-	if req.Adaptive {
-		return resumed, c.consumeAdaptive(ctx, s, conn, req)
-	}
-	return resumed, c.consume(ctx, s, conn, req)
+	return req.StartFrame > 0, c.consume(ctx, s, conn, req)
 }
 
-// consume parses the response stream, emitting each clip frame exactly
-// once even when the server replays from an earlier I-frame boundary.
-func (c *Client) consume(ctx context.Context, s *session, r io.Reader, req Request) error {
+// consume parses one connection's response stream and plays it: decode
+// each frame, set the backlight for its scene and account it, emitting
+// each clip frame exactly once even when the server replays from an
+// earlier I-frame boundary. A fixed session is this loop with the
+// quality ladder off. An adaptive session (req.Adaptive) also runs the
+// ladder control loop: a playout-buffer tracker fed by deliveries, a
+// decision at every scene boundary sent upstream as a quality-switch
+// message, and the server's in-band markers moving the rung (and with
+// it the backlight level column) mid-stream. The server is
+// authoritative: the client's rung follows markers, not its own
+// requests.
+func (c *Client) consume(ctx context.Context, s *session, rw io.ReadWriter, req Request) error {
 	res := s.res
-	cr := &countingReader{r: r}
+	cr := &countingReader{r: rw}
 	magic, remoteErr, err := ReadResponseMagic(cr)
 	if err != nil {
 		if errors.Is(err, ErrBadMagic) {
@@ -423,8 +429,8 @@ func (c *Client) consume(ctx context.Context, s *session, r io.Reader, req Reque
 		s.expected = resumeOffset + uint32(hdr.FrameCount)
 	}
 
-	var cursor *annotation.Cursor
-	qi := 0
+	var records []annotation.Record
+	s.curQi = 0
 	if hdr.AnnotationsErr != nil {
 		// Corrupt annotation track: play the stream at full backlight
 		// rather than dying (§3: annotations must never break playback).
@@ -437,8 +443,11 @@ func (c *Client) consume(ctx context.Context, s *session, r io.Reader, req Reque
 		// Each connection resends the track, so the overhead really
 		// crossed the wire again on a resume.
 		s.ledger.AddAnnotationBytes(int64(res.BytesAnn))
-		qi = hdr.Annotations.QualityIndex(s.quality)
-		cursor = hdr.Annotations.NewCursor(qi)
+		records = hdr.Annotations.Records
+		s.qualities = hdr.Annotations.Quality
+		// This connection starts at the rung the request named — on an
+		// adaptive resume, the rung in force when the last one died.
+		s.curQi = rungFor(hdr.Annotations, req.Quality)
 	}
 	// Device-specific level table from the server's negotiation, if sent
 	// (§4.3: levels "can be computed by either the server/proxy ... or by
@@ -448,7 +457,7 @@ func (c *Client) consume(ctx context.Context, s *session, r io.Reader, req Reque
 		levels, err := annotation.DecodeLevels(data)
 		if err != nil {
 			s.degrade("device_levels", degradedTotal)
-		} else if hdr.Annotations != nil && len(levels) == len(hdr.Annotations.Records) {
+		} else if hdr.Annotations != nil && len(levels) == len(records) {
 			serverLevels = levels
 			res.ServerLevels = true
 		}
@@ -474,31 +483,64 @@ func (c *Client) consume(ctx context.Context, s *session, r io.Reader, req Reque
 		"Frames decoded by the playback client.")
 	backlightGauge := c.Obs.Gauge("client_backlight_level",
 		"Backlight level currently set (0..255).")
-
 	frameSeconds := 1 / float64(hdr.FPS)
 
-	// A resumed connection re-plays the annotation cursor up to the
-	// stream's start so scene state (level, serverLevels index) matches
-	// what a continuous run would hold at that frame. The replay starts
-	// from scene zero because each connection resends the full track.
-	s.sceneIdx = 0
-	replayLevel := display.MaxLevel
-	for g := uint32(0); g < resumeOffset; g++ {
-		if cursor == nil {
-			break
+	// The ladder, its playout buffer and the battery model exist only in
+	// an adaptive session; in a fixed one curQi never changes.
+	var (
+		lm          ladderMetrics
+		batModel    *power.Model
+		ceilGuessed bool
+		announced   bool
+		total       uint32 // the track's frame count
+	)
+	if req.Adaptive {
+		if hdr.Annotations != nil {
+			total = uint32(hdr.Annotations.TotalFrames())
 		}
-		target, sceneStart := cursor.Next()
-		if sceneStart {
-			if serverLevels != nil && s.sceneIdx < len(serverLevels) {
-				replayLevel = serverLevels[s.sceneIdx][qi]
-			} else {
-				replayLevel = c.Device.LevelFor(target)
-			}
-			s.sceneIdx++
+		s.reqRung = s.curQi
+		s.ledger.SetRung(s.curQi)
+		if s.ceilQi < 0 {
+			s.ceilQi = s.curQi
+			ceilGuessed = true
 		}
+		if s.lad == nil && hdr.Annotations != nil && !s.degraded["ladder"] {
+			c.buildLadder(s, hdr.Annotations, s.ceilQi, degradedTotal)
+		}
+		if s.buf == nil {
+			s.buf = netsched.NewBuffer(float64(hdr.FPS))
+		}
+		if c.Ladder.Battery != nil {
+			batModel = power.DefaultModel(c.Device)
+		}
+		lm = newLadderMetrics(c.Obs, "client")
 	}
-	if resumeOffset > 0 && cursor != nil {
-		s.level = replayLevel
+
+	// The per-frame backlight level is a pure function of (record, rung):
+	// the server's negotiated table when present, the device LUT
+	// otherwise. Recomputing it each frame makes a mid-scene rung switch
+	// land on exactly the frame the new rung's stream starts at.
+	levelFor := func(rec, rung int) int {
+		if rec >= len(records) {
+			return display.MaxLevel
+		}
+		if serverLevels != nil && rung < len(serverLevels[rec]) {
+			return serverLevels[rec][rung]
+		}
+		if rung >= len(records[rec].Targets) {
+			return display.MaxLevel
+		}
+		// The client's whole runtime obligation: one multiply + LUT
+		// lookup, then set the backlight.
+		return c.Device.LevelFor(float64(records[rec].Targets[rung]) / 255)
+	}
+
+	// A resumed connection replays the scene walk up to the stream's
+	// start, so record indexes match a continuous run (each connection
+	// resends the full track).
+	walk := sceneWalk{records: records}
+	for g := uint32(0); g < resumeOffset; g++ {
+		walk.next()
 	}
 
 	g := resumeOffset // global (clip) frame index of the next decoded frame
@@ -513,41 +555,67 @@ func (c *Client) consume(ctx context.Context, s *session, r io.Reader, req Reque
 		if err != nil {
 			return classifyStreamErr(err)
 		}
+		if req.Adaptive {
+			if rung, isCtl := parseControlFrame(ef); isCtl {
+				// In-band control packet: a quality-switch marker moves
+				// the session to a new rung starting at the next frame;
+				// unknown control kinds are skipped.
+				if rung < 0 || rung >= len(s.qualities) {
+					continue
+				}
+				if !announced {
+					// The stream opens with one marker announcing the rung
+					// the server granted. It is authoritative: should it
+					// differ from the rung picked above, it corrects the
+					// starting rung (and, on the session's first
+					// connection, the ladder ceiling) without counting as
+					// a switch.
+					announced = true
+					if rung != s.curQi {
+						s.curQi, s.reqRung = rung, rung
+						s.ledger.SetRung(rung)
+						if ceilGuessed && s.lad != nil {
+							s.ceilQi = rung
+							c.buildLadder(s, hdr.Annotations, rung, degradedTotal)
+						}
+					}
+				} else if rung != s.curQi {
+					lm.record(s.curQi, rung)
+					s.curQi = rung
+					s.ledger.QualitySwitch(rung)
+					res.QualitySwitches++
+				}
+				continue
+			}
+		}
 		sp := c.Obs.StartSpan("client.decode")
 		f, err := dec.Decode(ef)
 		sp.End()
 		if err != nil {
 			return err
 		}
-		if cursor != nil {
-			target, sceneStart := cursor.Next()
-			if sceneStart {
-				sp := c.Obs.StartSpan("client.backlight_set")
-				if serverLevels != nil && s.sceneIdx < len(serverLevels) {
-					// Server resolved our device's levels during
-					// negotiation: a plain table read.
-					s.level = serverLevels[s.sceneIdx][qi]
-				} else {
-					// The client's whole runtime obligation: one
-					// multiply + LUT lookup, then set the backlight.
-					s.level = c.Device.LevelFor(target)
-				}
-				s.sceneIdx++
-				sp.End()
-				backlightGauge.Set(float64(s.level))
-				if g >= s.emitted {
-					// Replayed boundaries (I-frame rewind on resume)
-					// were already entered in the ledger before the
-					// disconnect.
-					s.ledger.StartScene(s.sceneIdx-1, s.level)
-				}
+		// Frames before s.emitted are replays (an I-frame rewind on
+		// resume): decoding them warms the predictor, but they were
+		// already delivered and their scene already entered the ledger.
+		fresh := g >= s.emitted
+		rec, sceneStart := walk.next()
+		if sceneStart && fresh && s.lad != nil {
+			if err := c.decideRung(s, rw, g, total, frameSeconds); err != nil {
+				return err
 			}
 		}
-		if g < s.emitted {
-			// Replayed frame (decode warms the predictor state after an
-			// I-frame rewind); it was already delivered.
+		if lvl := levelFor(rec, s.curQi); sceneStart || lvl != s.level {
+			sp := c.Obs.StartSpan("client.backlight_set")
+			s.level = lvl
+			sp.End()
+			backlightGauge.Set(float64(lvl))
+		}
+		if !fresh {
 			g++
 			continue
+		}
+		if sceneStart {
+			s.ledger.StartScene(rec, s.level)
 		}
 		framesDecoded.Inc()
 		if s.prev >= 0 && s.level != s.prev {
@@ -563,9 +631,18 @@ func (c *Client) consume(ctx context.Context, s *session, r io.Reader, req Reque
 		refState.BacklightLevel = display.MaxLevel
 		res.Ref.Append(frameSeconds, refState)
 		s.ledger.Frame(frameSeconds, s.level)
+		if batModel != nil {
+			// The live gauge drains by the modeled draw of this frame;
+			// the ladder's battery floor reads it at the next decision.
+			c.Ladder.Battery.Drain(batModel.Instant(state) * frameSeconds)
+		}
 
 		if c.OnFrame != nil {
 			c.OnFrame(res.Frames, f, s.level)
+		}
+		if req.Adaptive {
+			res.RungByFrame = append(res.RungByFrame, uint8(s.curQi))
+			s.buf.Deliver(1)
 		}
 		res.Frames++
 		s.emitted++
@@ -578,6 +655,79 @@ func (c *Client) consume(ctx context.Context, s *session, r io.Reader, req Reque
 	if s.expected > 0 && s.emitted < s.expected {
 		return fmt.Errorf("%w: got %d of %d frames", ErrTruncatedStream, s.emitted, s.expected)
 	}
+	return nil
+}
+
+// sceneWalk follows the annotation records frame by frame. Zero-frame
+// records (the wire format admits them) are skipped, so the index it
+// reports is always the record the frame falls in.
+type sceneWalk struct {
+	records []annotation.Record
+	rec, in int // current record, frames of it already walked
+}
+
+// next returns the record of the next frame (len(records) once the
+// track is exhausted) and whether that frame opens its scene.
+func (w *sceneWalk) next() (rec int, sceneStart bool) {
+	for w.rec < len(w.records) && w.records[w.rec].Frames == 0 {
+		w.rec++
+	}
+	rec = w.rec
+	if rec >= len(w.records) {
+		return rec, false
+	}
+	sceneStart = w.in == 0
+	if w.in++; w.in >= w.records[rec].Frames {
+		w.rec, w.in = rec+1, 0
+	}
+	return rec, sceneStart
+}
+
+// buildLadder (re)builds the session's quality ladder starting at rung
+// start. A broken ladder config degrades to a fixed-rung session on the
+// adaptive wire rather than killing playback.
+func (c *Client) buildLadder(s *session, track *annotation.Track, start int, degradedTotal *obs.Counter) {
+	cfg := *c.Ladder
+	cfg.StartRung = start
+	if cfg.Battery != nil && cfg.Device == nil {
+		cfg.Device = c.Device
+	}
+	lad, err := adaptive.NewLadder(track, cfg)
+	if err != nil {
+		lad = nil
+		s.degrade("ladder", degradedTotal)
+	}
+	s.lad = lad
+}
+
+// decideRung makes the ladder's one decision at a scene boundary (g is
+// the boundary's clip frame index, total the track's frame count) and
+// asks the server for the chosen
+// rung when it differs from the last request. Decisions start once the
+// playout buffer has primed (or is in actual deficit): a stream's own
+// startup must not read as congestion.
+func (c *Client) decideRung(s *session, w io.Writer, g, total uint32, frameSeconds float64) error {
+	lead := s.buf.LeadSeconds()
+	if !s.primed && lead >= s.lad.Config().DownLead {
+		s.primed = true
+	}
+	if !s.primed && lead >= 0 {
+		return nil
+	}
+	remaining := 0.0
+	if s.expected > g {
+		remaining = float64(s.expected-g) * frameSeconds
+	} else if total > g {
+		remaining = float64(total-g) * frameSeconds
+	}
+	d := s.lad.Decide(adaptive.Inputs{LeadSeconds: lead, RemainingSeconds: remaining})
+	if d == s.reqRung {
+		return nil
+	}
+	if err := WriteQualitySwitch(w, d); err != nil {
+		return fmt.Errorf("%w: %v", ErrTruncatedStream, err)
+	}
+	s.reqRung = d
 	return nil
 }
 

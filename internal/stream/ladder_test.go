@@ -76,9 +76,8 @@ func fixedRungDigests(t *testing.T, addr string, rungs map[int]bool) map[int][]u
 	t.Helper()
 	out := map[int][]uint64{}
 	for rung := range rungs {
-		// Request the middle of the rung's budget bracket: asking for the
-		// level exactly can land one rung lower once the budget is
-		// quantized onto the wire (0.15 crosses as 38/255 ≈ 0.149).
+		// Request the middle of the rung's budget bracket, clear of the
+		// wire quantization at its edges.
 		_, d := playAbr(t, &Client{Device: display.IPAQ5555()}, addr, compensate.QualityLevels[rung]+0.025)
 		out[rung] = d
 	}
@@ -227,7 +226,8 @@ func TestChaosLadderWalksDownAndRecovers(t *testing.T) {
 
 // TestAdaptiveMatchesFixedWhenHealthy: on a clean link an adaptive
 // session must behave exactly like the fixed session it was requested
-// as — zero switches, bit-identical frames.
+// as — zero switches, bit-identical frames, the same backlight on every
+// frame, and the same power ledger.
 func TestAdaptiveMatchesFixedWhenHealthy(t *testing.T) {
 	s := abrServer(t)
 	addr, err := s.Listen("127.0.0.1:0")
@@ -236,22 +236,53 @@ func TestAdaptiveMatchesFixedWhenHealthy(t *testing.T) {
 	}
 	t.Cleanup(s.Close)
 
-	fixed, wantDigests := playAbr(t, &Client{Device: display.IPAQ5555()}, addr.String(), 0.10)
-	client := &Client{Device: display.IPAQ5555(), Ladder: &adaptive.LadderConfig{}}
-	res, digests := playAbr(t, client, addr.String(), 0.10)
+	play := func(client *Client) (*PlayResult, []uint64, []int) {
+		var digests []uint64
+		var levels []int
+		client.OnFrame = func(i int, f *frame.Frame, backlight int) {
+			digests = append(digests, frameDigest(f))
+			levels = append(levels, backlight)
+		}
+		res, err := client.Play(addr.String(), "abr", 0.10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, digests, levels
+	}
+	fixed, wantDigests, wantLevels := play(&Client{Device: display.IPAQ5555()})
+	res, digests, levels := play(&Client{Device: display.IPAQ5555(), Ladder: &adaptive.LadderConfig{}})
 	if res.QualitySwitches != 0 {
 		t.Errorf("healthy session switched %d times, want 0", res.QualitySwitches)
 	}
-	if res.Frames != fixed.Frames {
+	if res.Frames != fixed.Frames || len(digests) != len(wantDigests) {
 		t.Fatalf("adaptive delivered %d frames, fixed %d", res.Frames, fixed.Frames)
 	}
 	for i := range wantDigests {
 		if digests[i] != wantDigests[i] {
 			t.Fatalf("frame %d differs between healthy adaptive and fixed sessions", i)
 		}
+		if levels[i] != wantLevels[i] {
+			t.Fatalf("frame %d at backlight %d adaptive, %d fixed", i, levels[i], wantLevels[i])
+		}
 	}
 	if res.FinalRung != 2 {
 		t.Errorf("final rung = %d, want 2 (the requested 0.10 budget)", res.FinalRung)
+	}
+
+	got, want := res.Ledger, fixed.Ledger
+	if len(got.Scenes) != len(want.Scenes) {
+		t.Fatalf("ledger has %d scenes adaptive, %d fixed", len(got.Scenes), len(want.Scenes))
+	}
+	for i, g := range got.Scenes {
+		w := want.Scenes[i]
+		if g.Index != w.Index || g.Level != w.Level || g.Frames != w.Frames {
+			t.Errorf("ledger scene %d = {index %d, level %d, frames %d} adaptive, {%d, %d, %d} fixed",
+				i, g.Index, g.Level, g.Frames, w.Index, w.Level, w.Frames)
+		}
+	}
+	if got.SavedJoules != want.SavedJoules || got.BaselineJoules != want.BaselineJoules {
+		t.Errorf("ledger energy: saved %v of %v J adaptive, %v of %v J fixed",
+			got.SavedJoules, got.BaselineJoules, want.SavedJoules, want.BaselineJoules)
 	}
 }
 

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"log"
 	"net"
@@ -12,8 +13,10 @@ import (
 	"sync/atomic"
 
 	"repro/internal/anncache"
+	"repro/internal/annotation"
 	"repro/internal/annstore"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -58,6 +61,8 @@ type nodeCore struct {
 	store *annstore.Store
 	// annWorkers is the annotation pipeline's worker-pool size.
 	annWorkers int
+	// enc is the codec configuration variants are encoded with.
+	enc EncodeConfig
 
 	// cnode, when set, shards artifact ownership across the member
 	// list: local misses fill from the shard owner before computing,
@@ -353,4 +358,50 @@ func (n *nodeCore) serveFetch(ctx context.Context, conn net.Conn) error {
 	}
 	sp.SetAttrInt("bytes", int64(len(payload)))
 	return cluster.WriteFetchResponse(conn, payload)
+}
+
+// resolveArtifact is the role-independent half of answering an AFR1
+// fetch: once the role has found the clip whose content digest the
+// peer asked for (src, under the name clip), it resolves the requested
+// artifact through the node's own tier and encodes it. track yields
+// the clip's annotation track; it is only called for the kinds that
+// need one. Variants are only served when the encoder signature matches
+// this node's configuration: a mismatch is a clean not-found, telling
+// the requester to compute under its own settings rather than receive
+// bits encoded under different parameters.
+func (n *nodeCore) resolveArtifact(ctx context.Context, req cluster.FetchRequest, clip string, src core.Source, track func() (*annotation.Track, error)) ([]byte, error) {
+	t := n.tierFor(clip)
+	cfg := n.enc.withDefaults(src.FPS())
+	if (req.Kind == "variant" || req.Kind == "raw") && req.Suffix != encSig(cfg) {
+		return nil, fmt.Errorf("%w: encoder config %s here, %s requested", cluster.ErrNotFound, encSig(cfg), req.Suffix)
+	}
+	if req.Kind == "raw" {
+		v, err := rawVariantFor(ctx, t, req.Digest, src, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return encodeVariantArtifact(v)
+	}
+	if req.Kind != "track" && req.Kind != "levels" && req.Kind != "variant" {
+		return nil, fmt.Errorf("%w: unknown artifact kind %q", cluster.ErrNotFound, req.Kind)
+	}
+	tr, err := track()
+	if err != nil {
+		return nil, err
+	}
+	switch req.Kind {
+	case "track":
+		return trackCodec.encode(tr)
+	case "levels":
+		b := deviceLevelsChunk(ctx, t, req.Digest, req.Device, tr)
+		if b == nil {
+			return nil, fmt.Errorf("%w: unknown device %q", cluster.ErrNotFound, req.Device)
+		}
+		return b, nil
+	}
+	v, err := variantFor(ctx, t, req.Digest, src, tr, req.Quality, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return encodeVariantArtifact(v)
 }

@@ -46,7 +46,6 @@ type Proxy struct {
 	// upCfg builds the upstream peer set (nodeCore.upstreams); the
 	// setters below rebuild the set after changing it.
 	upCfg cluster.PeerSetConfig
-	enc   EncodeConfig
 
 	upstreamLat     *obs.Histogram
 	upstreamRetries *obs.Counter
@@ -252,42 +251,8 @@ func (p *Proxy) handle(rawConn net.Conn) error {
 		sp.SetAttr("stale", "true")
 		p.logf("stream proxy: upstream down, serving %q stale", req.Clip)
 	}
-	track := entry.track
-	qi := track.QualityIndex(req.Quality)
-	cfg := p.enc.withDefaults(entry.src.FPS())
-	getVariant := func(ctx context.Context, q int) (*variant, error) {
-		return variantFor(ctx, p.tierFor(req.Clip), entry.digest, entry.src, track, q, cfg)
-	}
-	v, err := getVariant(ctx, qi)
+	err = p.serveAnnotated(ctx, conn, req, entry.digest, entry.src, entry.track)
 	if err != nil {
-		WriteError(conn, "encoding failed")
-		sp.SetAttr("error", "encoding failed")
-		return err
-	}
-	from, err := resumePoint(v.frames, req)
-	if err != nil {
-		WriteError(conn, err.Error())
-		sp.SetAttr("error", err.Error())
-		return err
-	}
-	if from > 0 {
-		p.sm.resumes.Inc()
-	}
-	levels := deviceLevelsChunk(ctx, p.tierFor(req.Clip), entry.digest, req.Device, track)
-	if req.Adaptive {
-		sent, switches, aerr := sendAdaptive(ctx, conn, entry.src, track, v, getVariant, levels, from, qi,
-			p.obsReg, "proxy", p.sm.framesSent, p.sm.bytesSent)
-		if aerr == nil {
-			accountSessionPower(p.obsReg, "proxy", req, entry.src, track, qi, from, sent, switches)
-		} else {
-			sp.SetAttr("error", aerr.Error())
-		}
-		return aerr
-	}
-	sent, err := sendVariant(ctx, conn, entry.src, track, v, levels, from, p.sm.framesSent, p.sm.bytesSent)
-	if err == nil {
-		accountSessionPower(p.obsReg, "proxy", req, entry.src, track, qi, from, sent, nil)
-	} else {
 		sp.SetAttr("error", err.Error())
 	}
 	return err
@@ -313,36 +278,9 @@ func (p *Proxy) resolveFetchRequest(ctx context.Context, req cluster.FetchReques
 	if entry.digest != req.Digest {
 		return nil, fmt.Errorf("%w: clip %q content digest mismatch", cluster.ErrNotFound, req.Clip)
 	}
-	cfg := p.enc.withDefaults(entry.src.FPS())
-	switch req.Kind {
-	case "track":
-		return trackCodec.encode(entry.track)
-	case "levels":
-		b := deviceLevelsChunk(ctx, p.tierFor(req.Clip), req.Digest, req.Device, entry.track)
-		if b == nil {
-			return nil, fmt.Errorf("%w: unknown device %q", cluster.ErrNotFound, req.Device)
-		}
-		return b, nil
-	case "variant":
-		if req.Suffix != encSig(cfg) {
-			return nil, fmt.Errorf("%w: encoder config %s here, %s requested", cluster.ErrNotFound, encSig(cfg), req.Suffix)
-		}
-		v, err := variantFor(ctx, p.tierFor(req.Clip), entry.digest, entry.src, entry.track, req.Quality, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return encodeVariantArtifact(v)
-	case "raw":
-		if req.Suffix != encSig(cfg) {
-			return nil, fmt.Errorf("%w: encoder config %s here, %s requested", cluster.ErrNotFound, encSig(cfg), req.Suffix)
-		}
-		v, err := rawVariantFor(ctx, p.tierFor(req.Clip), entry.digest, entry.src, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return encodeVariantArtifact(v)
-	}
-	return nil, fmt.Errorf("%w: unknown artifact kind %q", cluster.ErrNotFound, req.Kind)
+	return p.resolveArtifact(ctx, req, req.Clip, entry.src, func() (*annotation.Track, error) {
+		return entry.track, nil
+	})
 }
 
 // fetchSource returns the clip's decoded source and annotation track.

@@ -101,7 +101,6 @@ type Server struct {
 
 	catalog map[string]core.Source
 	scene   func(fps int) scene.Config
-	enc     EncodeConfig
 
 	// handshakeTimeout bounds reading the negotiation request;
 	// writeTimeout is re-armed before every write, so a client that
@@ -207,7 +206,6 @@ func NewServer(catalog map[string]core.Source) *Server {
 	s := &Server{
 		catalog:          catalog,
 		scene:            scene.DefaultConfig,
-		enc:              EncodeConfig{},
 		handshakeTimeout: 10 * time.Second,
 		writeTimeout:     30 * time.Second,
 		digests:          map[string]string{},
@@ -434,57 +432,15 @@ func (s *Server) sourceByDigest(hint, digest string) (string, core.Source, bool)
 // it resolves the artifact through its own tier — computing at most
 // once fleet-wide — and returns the encoded bytes. The digest is
 // always verified against the catalog before the clip-name hint is
-// trusted, and variants are only served when the encoder signature
-// matches this node's configuration: a mismatch is a clean not-found,
-// telling the requester to compute under its own settings rather than
-// receive bits encoded under different parameters.
+// trusted.
 func (s *Server) resolveFetchRequest(ctx context.Context, req cluster.FetchRequest) ([]byte, error) {
 	name, src, ok := s.sourceByDigest(req.Clip, req.Digest)
 	if !ok {
 		return nil, fmt.Errorf("%w: no catalog clip with digest %.16s", cluster.ErrNotFound, req.Digest)
 	}
-	cfg := s.enc.withDefaults(src.FPS())
-	switch req.Kind {
-	case "track":
-		tr, err := s.track(ctx, name, src)
-		if err != nil {
-			return nil, err
-		}
-		return trackCodec.encode(tr)
-	case "levels":
-		tr, err := s.track(ctx, name, src)
-		if err != nil {
-			return nil, err
-		}
-		b := deviceLevelsChunk(ctx, s.tierFor(name), req.Digest, req.Device, tr)
-		if b == nil {
-			return nil, fmt.Errorf("%w: unknown device %q", cluster.ErrNotFound, req.Device)
-		}
-		return b, nil
-	case "variant":
-		if req.Suffix != encSig(cfg) {
-			return nil, fmt.Errorf("%w: encoder config %s here, %s requested", cluster.ErrNotFound, encSig(cfg), req.Suffix)
-		}
-		tr, err := s.track(ctx, name, src)
-		if err != nil {
-			return nil, err
-		}
-		v, err := variantFor(ctx, s.tierFor(name), req.Digest, src, tr, req.Quality, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return encodeVariantArtifact(v)
-	case "raw":
-		if req.Suffix != encSig(cfg) {
-			return nil, fmt.Errorf("%w: encoder config %s here, %s requested", cluster.ErrNotFound, encSig(cfg), req.Suffix)
-		}
-		v, err := rawVariantFor(ctx, s.tierFor(name), req.Digest, src, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return encodeVariantArtifact(v)
-	}
-	return nil, fmt.Errorf("%w: unknown artifact kind %q", cluster.ErrNotFound, req.Kind)
+	return s.resolveArtifact(ctx, req, name, src, func() (*annotation.Track, error) {
+		return s.track(ctx, name, src)
+	})
 }
 
 // track returns the clip's annotation track, computing and caching it on
@@ -509,19 +465,29 @@ func (s *Server) track(ctx context.Context, name string, src core.Source) (*anno
 }
 
 // streamAnnotated sends the annotated, compensated stream: the paper's
-// server role. Variants are encoded once per (content digest, quality
-// index) and cached; the device-levels side channel is cached per device.
+// server role, on the serve path the proxy shares.
 func (s *Server) streamAnnotated(ctx context.Context, conn *deadlineConn, src core.Source, req Request) error {
 	track, err := s.track(ctx, req.Clip, src)
 	if err != nil {
 		WriteError(conn, "annotation failed")
 		return err
 	}
-	dg := s.digestOf(req.Clip, src)
-	qi := track.QualityIndex(req.Quality)
-	cfg := s.enc.withDefaults(src.FPS())
+	return s.serveAnnotated(ctx, conn, req, s.digestOf(req.Clip, src), src, track)
+}
+
+// serveAnnotated streams the annotated, compensated clip to a client,
+// the same in the server and the proxy role (Figure 1): pick the
+// variant for the request's quality, map a resume onto it, attach the
+// device-levels side channel, stream fixed or adaptive, and fold the
+// completed session into the power accounting. Variants are encoded
+// once per (content digest, quality index) and cached; the
+// device-levels side channel is cached per device.
+func (n *nodeCore) serveAnnotated(ctx context.Context, conn *deadlineConn, req Request, digest string, src core.Source, track *annotation.Track) error {
+	t := n.tierFor(req.Clip)
+	qi := rungFor(track, req.Quality)
+	cfg := n.enc.withDefaults(src.FPS())
 	getVariant := func(ctx context.Context, q int) (*variant, error) {
-		return variantFor(ctx, s.tierFor(req.Clip), dg, src, track, q, cfg)
+		return variantFor(ctx, t, digest, src, track, q, cfg)
 	}
 	v, err := getVariant(ctx, qi)
 	if err != nil {
@@ -534,25 +500,25 @@ func (s *Server) streamAnnotated(ctx context.Context, conn *deadlineConn, src co
 		return err
 	}
 	if from > 0 {
-		s.sm.resumes.Inc()
+		n.sm.resumes.Inc()
 	}
-	levels := deviceLevelsChunk(ctx, s.tierFor(req.Clip), dg, req.Device, track)
+	levels := deviceLevelsChunk(ctx, t, digest, req.Device, track)
+	var sent uint64
+	var switches []rungSwitch
 	if req.Adaptive {
-		sent, switches, err := sendAdaptive(ctx, conn, src, track, v, getVariant, levels, from, qi,
-			s.obsReg, "server", s.sm.framesSent, s.sm.bytesSent)
-		if err == nil {
-			accountSessionPower(s.obsReg, "server", req, src, track, qi, from, sent, switches)
-		}
-		return err
+		sent, switches, err = sendAdaptive(ctx, conn, src, track, v, getVariant, levels, from, qi,
+			n.obsReg, n.role, n.sm.framesSent, n.sm.bytesSent)
+	} else {
+		sent, err = sendVariant(ctx, conn, src, track, v, levels, from, n.sm.framesSent, n.sm.bytesSent)
 	}
-	sent, err := sendVariant(ctx, conn, src, track, v, levels, from, s.sm.framesSent, s.sm.bytesSent)
 	if err == nil {
 		// The session streamed to completion: fold its modeled power
 		// accounting into the fleet-wide power_saved_* / session_*
 		// families. The levels the client will apply are fully
-		// determined by the track, device and quality index, so the
-		// server can account savings without hearing back.
-		accountSessionPower(s.obsReg, "server", req, src, track, qi, from, sent, nil)
+		// determined by the track, device, quality index and rung
+		// switches, so the node can account savings without hearing
+		// back.
+		accountSessionPower(n.obsReg, n.role, req, src, track, qi, from, sent, switches)
 	}
 	return err
 }
@@ -659,11 +625,16 @@ func prepareVariant(ctx context.Context, src core.Source, track *annotation.Trac
 		return nil, err
 	}
 	sp := obs.StartSpan(ctx, "stream.compensate_encode")
-	cursor := track.NewCursor(qi)
+	// A frame past the track's end keeps the last record's target (full
+	// luminance when there are no records).
+	walk := sceneWalk{records: track.Records}
+	target := 1.0
 	n := src.TotalFrames()
 	frames := make([]*codec.EncodedFrame, 0, n)
 	for i := 0; i < n; i++ {
-		target, _ := cursor.Next()
+		if rec, _ := walk.next(); rec < len(track.Records) {
+			target = float64(track.Records[rec].Targets[qi]) / 255
+		}
 		f := core.CompensateFrame(src.Frame(i), target, compensate.ContrastEnhancement)
 		ef, err := enc.Encode(f)
 		if err != nil {
@@ -884,23 +855,7 @@ func sendVariant(ctx context.Context, w io.Writer, src core.Source, track *annot
 	defer sp.End()
 	cw0 := &countingWriter{w: w}
 	err := func() error {
-		width, height := src.Size()
-		extra := map[uint8][]byte{
-			container.ChunkDecodeCycles: v.cyclesChunk,
-			container.ChunkSceneBytes:   v.scenesChunk,
-		}
-		if from > 0 {
-			extra[container.ChunkResumeOffset] = container.EncodeResumeOffset(uint32(from))
-		}
-		if levelsChunk != nil {
-			extra[container.ChunkDeviceLevels] = levelsChunk
-		}
-		cw, err := container.NewWriter(cw0, container.Header{
-			W: width, H: height, FPS: src.FPS(),
-			FrameCount:  len(v.frames) - from,
-			Annotations: track,
-			Extra:       extra,
-		})
+		cw, err := newVariantWriter(cw0, src, track, v, levelsChunk, from)
 		if err != nil {
 			return err
 		}
@@ -909,6 +864,33 @@ func sendVariant(ctx context.Context, w io.Writer, src core.Source, track *annot
 	bytesSent.Add(cw0.n)
 	sp.SetAttrInt("bytes", int64(cw0.n))
 	return cw0.n, err
+}
+
+// newVariantWriter writes the container header of an annotated session
+// that serves variant v from frame index from — the track, the
+// variant's decode-cycle and scene-byte side channels, the resume
+// offset when resuming and the device level table when one was
+// negotiated — and returns the writer for its frames. FrameCount counts
+// real frames, so it holds across adaptive rung switches. The header is
+// built here rather than returned so its chunk map stays off the heap.
+func newVariantWriter(w io.Writer, src core.Source, track *annotation.Track, v *variant, levelsChunk []byte, from int) (*container.Writer, error) {
+	width, height := src.Size()
+	extra := map[uint8][]byte{
+		container.ChunkDecodeCycles: v.cyclesChunk,
+		container.ChunkSceneBytes:   v.scenesChunk,
+	}
+	if from > 0 {
+		extra[container.ChunkResumeOffset] = container.EncodeResumeOffset(uint32(from))
+	}
+	if levelsChunk != nil {
+		extra[container.ChunkDeviceLevels] = levelsChunk
+	}
+	return container.NewWriter(w, container.Header{
+		W: width, H: height, FPS: src.FPS(),
+		FrameCount:  len(v.frames) - from,
+		Annotations: track,
+		Extra:       extra,
+	})
 }
 
 // streamRaw sends the stored clip untouched (for proxies), serving the
