@@ -4,10 +4,9 @@ import "time"
 
 // Buffer tracks live playout-buffer health for an adaptive streaming
 // session: how far ahead of the playout clock the delivered frames
-// reach. Unlike the offline playout simulation above, it is fed from a
-// real receive loop — each delivered frame extends the buffered
-// horizon by one frame time, while the wall clock advances playback at
-// real time. The lead (buffered seconds not yet played) is the signal
+// reach. It is fed from a real receive loop — each delivered frame
+// extends the buffered horizon by one frame time, while the wall clock
+// advances playback at real time. The lead (buffered seconds not yet played) is the signal
 // the quality ladder steers by: shrinking lead means the link is
 // falling behind and the session should walk down a rung before it
 // stalls.

@@ -40,7 +40,6 @@ type PlayResult struct {
 	// DecodedAvgLuma is the mean luminance of decoded frames, a sanity
 	// signal that compensation brightened the stream.
 	DecodedAvgLuma float64
-	Trace, Ref     *power.Trace
 	// DecodeCycles holds the stream's per-frame decode-complexity
 	// annotations (nil when the server sent none); a DVS-capable client
 	// hands them to its frequency governor.
@@ -183,9 +182,8 @@ func (c *Client) PlayContext(ctx context.Context, addr, clip string, quality flo
 	}
 	retry := c.Retry.withDefaults()
 	s := &session{
-		res:     &PlayResult{Trace: &power.Trace{}, Ref: &power.Trace{}},
+		res:     &PlayResult{},
 		level:   display.MaxLevel,
-		prev:    -1,
 		quality: quality,
 		ceilQi:  -1,
 		ledger:  power.NewLedger(c.Device),
@@ -282,8 +280,6 @@ type session struct {
 	// it (0 until known). EOF before expected frames is truncation.
 	expected uint32
 	level    int
-	prev     int
-	levelSum float64
 	lumaSum  float64
 	degraded map[string]bool
 	// Quality-rung state. curQi is the rung the server is serving (the
@@ -303,7 +299,7 @@ type session struct {
 	lad       *adaptive.Ladder
 	buf       *netsched.Buffer
 	// ledger is the session's power/QoS accounting, fed frame by frame
-	// alongside the power traces and sealed into PlayResult.Ledger.
+	// and sealed into PlayResult.Ledger and its savings figures.
 	ledger *power.Ledger
 }
 
@@ -618,22 +614,12 @@ func (c *Client) consume(ctx context.Context, s *session, rw io.ReadWriter, req 
 			s.ledger.StartScene(rec, s.level)
 		}
 		framesDecoded.Inc()
-		if s.prev >= 0 && s.level != s.prev {
-			res.Switches++
-		}
-		s.prev = s.level
-		s.levelSum += float64(s.level)
 		s.lumaSum += f.AvgLuma()
-
-		state := power.State{Decoding: true, NetworkActive: true, BacklightLevel: s.level}
-		res.Trace.Append(frameSeconds, state)
-		refState := state
-		refState.BacklightLevel = display.MaxLevel
-		res.Ref.Append(frameSeconds, refState)
 		s.ledger.Frame(frameSeconds, s.level)
 		if batModel != nil {
 			// The live gauge drains by the modeled draw of this frame;
 			// the ladder's battery floor reads it at the next decision.
+			state := power.State{Decoding: true, NetworkActive: true, BacklightLevel: s.level}
 			c.Ladder.Battery.Drain(batModel.Instant(state) * frameSeconds)
 		}
 
@@ -751,17 +737,20 @@ func (c *Client) finish(s *session) (*PlayResult, error) {
 	if res.Frames == 0 {
 		return nil, fmt.Errorf("stream: empty stream")
 	}
-	model := power.DefaultModel(c.Device)
-	res.AvgLevel = s.levelSum / float64(res.Frames)
+	rep := s.ledger.Report()
+	res.Ledger = &rep
+	res.AvgLevel, res.Switches = rep.AvgLevel, rep.Switches
 	res.DecodedAvgLuma = s.lumaSum / float64(res.Frames)
-	res.BacklightSavings = model.BacklightSavings(res.Ref, res.Trace)
-	res.TotalSavings = model.Savings(res.Ref, res.Trace)
+	// The savings fractions integrate the ledger's own traces, so they
+	// are bit-identical to what the offline model reports for them.
+	model := power.DefaultModel(c.Device)
+	got, ref := s.ledger.Traces()
+	res.BacklightSavings = model.BacklightSavings(ref, got)
+	res.TotalSavings = model.Savings(ref, got)
 	if c.Ladder != nil {
 		res.FinalRung = s.curQi
 		res.MaxLagSeconds = s.buf.MaxLagSeconds()
 	}
-	rep := s.ledger.Report()
-	res.Ledger = &rep
 	rep.EmitMetrics(c.Obs, "client")
 	return res, nil
 }

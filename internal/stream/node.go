@@ -11,6 +11,7 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/anncache"
 	"repro/internal/annotation"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/scene"
 )
 
 // nodeCore is the serving substrate the Server and Proxy share: one
@@ -71,16 +73,53 @@ type nodeCore struct {
 	// upstreams, when set, is the proxy's upstream origin set: readiness
 	// fails while every one of its breakers is open.
 	upstreams *cluster.PeerSet
-	// resolveFetch produces the encoded bytes of a requested artifact
-	// for a peer (role-specific: the server resolves from its catalog,
-	// the proxy through its upstream fetch path).
-	resolveFetch func(ctx context.Context, req cluster.FetchRequest) ([]byte, error)
+	// clips is where the role finds a clip: the server's catalog or the
+	// proxy's upstream fetch. It is all the request path asks of a role.
+	clips clipSource
+	// handler runs each accepted connection through handle (the server
+	// admits it through its session queue first).
+	handler func(net.Conn) error
+	// sessionSpan names each client session's span ("<role>.session").
+	sessionSpan string
+}
+
+// Per-connection deadlines, re-armed on every read and write: a peer
+// that stops sending or stops draining its socket fails the session
+// instead of pinning its goroutine. The proxy's upstream fetches use
+// the same pair.
+const (
+	nodeReadTimeout  = 10 * time.Second
+	nodeWriteTimeout = 30 * time.Second
+)
+
+// clipSource is the one thing the Server and Proxy roles do differently
+// (Figure 1: "either the proxy or the server node suffices"): where a
+// clip comes from. open finds the clip a client session asked for;
+// byDigest finds the clip whose content a peer's AFR1 fetch names.
+type clipSource interface {
+	open(ctx context.Context, req Request) (nodeClip, error)
+	byDigest(ctx context.Context, req cluster.FetchRequest) (nodeClip, error)
+}
+
+// nodeClip is a clip a role found: its name, decoded source and content
+// digest, plus the getter for its annotation track, which only the
+// paths that need a track call.
+type nodeClip struct {
+	name   string
+	src    core.Source
+	digest string
+	track  func() (*annotation.Track, error)
+	// stale marks a proxy copy served because every upstream was down.
+	stale bool
 }
 
 // initCore readies the embedded substrate (called from the role
 // constructors).
-func (n *nodeCore) initCore(role string) {
+func (n *nodeCore) initCore(role string, clips clipSource, handler func(net.Conn) error) {
 	n.role = role
+	n.clips = clips
+	n.handler = handler
+	n.sessionSpan = role + ".session"
 	n.logFn = log.Printf
 	n.ctx, n.cancel = context.WithCancel(context.Background())
 	n.drainCh = make(chan struct{})
@@ -157,10 +196,6 @@ func (n *nodeCore) SetCluster(cn *cluster.Node) {
 // Cluster returns the attached cluster node (nil when unclustered).
 func (n *nodeCore) Cluster() *cluster.Node { return n.cnode }
 
-// tier is the local two-level artifact lookup (no peer fill) — what
-// peer-facing resolution and unclustered nodes use.
-func (n *nodeCore) tier() tier { return tier{cache: n.cache, store: n.store} }
-
 // tierFor is the cluster-aware lookup for clip: memory → disk → shard
 // owner → compute. The clip name rides each fetch as the hint that
 // lets an owner map the one-way content digest back to its catalog.
@@ -181,10 +216,23 @@ func (n *nodeCore) peerSets() []*cluster.PeerSet {
 	return sets
 }
 
-// serve installs ln, starts the peer sets' recovery probers and accepts
-// connections, running handler for each inside the shared session
-// wrapper (conn bookkeeping, panic isolation, error accounting).
-func (n *nodeCore) serve(ln net.Listener, handler func(net.Conn) error) {
+// Listen starts accepting connections on addr and returns the bound
+// address (useful with ":0").
+func (n *nodeCore) Listen(addr string) (net.Addr, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	n.Serve(ln)
+	return ln.Addr(), nil
+}
+
+// Serve accepts connections from a caller-provided listener (chaos runs
+// wrap a fault-injecting listener around a plain TCP one), running the
+// role's handler for each inside the shared session wrapper (conn
+// bookkeeping, panic isolation, error accounting), and starts the peer
+// sets' recovery probers.
+func (n *nodeCore) Serve(ln net.Listener) {
 	n.mu.Lock()
 	n.ln = ln
 	if !n.closed {
@@ -195,10 +243,10 @@ func (n *nodeCore) serve(ln net.Listener, handler func(net.Conn) error) {
 		}
 	}
 	n.mu.Unlock()
-	go n.acceptLoop(ln, handler)
+	go n.acceptLoop(ln)
 }
 
-func (n *nodeCore) acceptLoop(ln net.Listener, handler func(net.Conn) error) {
+func (n *nodeCore) acceptLoop(ln net.Listener) {
 	acceptWithBackoff(ln, "stream "+n.role, n.logf, n.sm.acceptErrors, func(conn net.Conn) {
 		n.mu.Lock()
 		if n.closed {
@@ -211,7 +259,7 @@ func (n *nodeCore) acceptLoop(ln net.Listener, handler func(net.Conn) error) {
 		n.mu.Unlock()
 		n.sm.connsTotal.Inc()
 		n.sm.activeConns.Add(1)
-		go n.session(conn, handler)
+		go n.session(conn)
 	})
 }
 
@@ -219,7 +267,7 @@ func (n *nodeCore) acceptLoop(ln net.Listener, handler func(net.Conn) error) {
 // teardown and panic isolation: a panic anywhere in the session is
 // recovered here — the session dies, the process (and every other
 // session) survives.
-func (n *nodeCore) session(conn net.Conn, handler func(net.Conn) error) {
+func (n *nodeCore) session(conn net.Conn) {
 	defer n.handlers.Done()
 	defer func() {
 		n.mu.Lock()
@@ -234,10 +282,64 @@ func (n *nodeCore) session(conn net.Conn, handler func(net.Conn) error) {
 			n.logf("stream %s: session panic (recovered): %v\n%s", n.role, r, debug.Stack())
 		}
 	}()
-	if err := handler(conn); err != nil && !errors.Is(err, io.EOF) {
+	if err := n.handler(conn); err != nil && !errors.Is(err, io.EOF) {
 		n.sm.sessErrors.Inc()
 		n.logf("stream %s: %v", n.role, err)
 	}
+}
+
+// handle serves one connection the same way in every role. The 4-byte
+// magic routes a peer artifact fetch (AFR1) to serveFetch; anything
+// else is a client request, which joins the caller's trace, opens its
+// clip through the role and streams it raw or annotated. admitWait is
+// how long the connection queued for a session slot.
+func (n *nodeCore) handle(rawConn net.Conn, admitWait time.Duration) error {
+	ctx := obs.WithRegistry(n.ctx, n.obsReg)
+	conn := &deadlineConn{Conn: rawConn, readTimeout: nodeReadTimeout, writeTimeout: nodeWriteTimeout}
+	var magic [4]byte
+	if _, err := io.ReadFull(conn, magic[:]); err != nil {
+		WriteError(conn, "bad request")
+		return fmt.Errorf("%w: short request: %v", ErrProtocol, err)
+	}
+	if magic == cluster.FetchMagic {
+		return n.serveFetch(ctx, conn)
+	}
+	req, err := readRequestBody(magic, conn)
+	if err != nil {
+		WriteError(conn, "bad request")
+		return err
+	}
+	// A request carrying the caller's span context makes this session a
+	// child in the caller's trace. Without one, the session roots a
+	// trace of its own. Everything below hangs off the session span.
+	if req.Trace.Valid() {
+		ctx = obs.WithSpanContext(ctx, req.Trace)
+	}
+	ctx, sp := obs.StartSpanCtx(ctx, n.sessionSpan)
+	defer sp.End()
+	sp.SetAttr("clip", req.Clip)
+	sp.SetAttr("device", req.Device)
+	if admitWait > time.Millisecond {
+		sp.SetAttr("admit_wait", admitWait.Round(time.Millisecond).String())
+	}
+	c, err := n.clips.open(ctx, req)
+	switch {
+	case err != nil:
+		WriteError(conn, refusalText(err))
+	case req.Mode == ModeRaw:
+		sp.SetAttr("mode", "raw")
+		err = n.streamRaw(ctx, conn, c)
+	default:
+		sp.SetAttr("mode", "annotated")
+		err = n.serveAnnotated(ctx, conn, req, c)
+	}
+	if c.stale {
+		sp.SetAttr("stale", "true")
+	}
+	if err != nil {
+		sp.SetAttr("error", err.Error())
+	}
+	return err
 }
 
 // beginDrain stops the listener and flips the node to draining:
@@ -342,12 +444,11 @@ func (n *nodeCore) serveFetch(ctx context.Context, conn net.Conn) error {
 			"Peer fetch-artifact requests answered (success or clean refusal).",
 			obs.L("role", n.role), obs.L("kind", req.Kind)).Inc()
 	}
-	resolve := n.resolveFetch
-	if resolve == nil || n.cnode == nil {
+	if n.cnode == nil {
 		sp.SetAttr("error", "not clustered")
 		return cluster.WriteFetchError(conn, cluster.CodeUnavailable, "node is not clustered")
 	}
-	payload, err := resolve(ctx, req)
+	payload, err := n.resolveFetchRequest(ctx, req)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		code := uint8(cluster.CodeUnavailable)
@@ -360,23 +461,33 @@ func (n *nodeCore) serveFetch(ctx context.Context, conn net.Conn) error {
 	return cluster.WriteFetchResponse(conn, payload)
 }
 
+// resolveFetchRequest answers a peer's AFR1 artifact fetch: the role
+// finds the clip whose content digest the peer asked for, and the node
+// resolves the requested artifact through its own tier.
+func (n *nodeCore) resolveFetchRequest(ctx context.Context, req cluster.FetchRequest) ([]byte, error) {
+	c, err := n.clips.byDigest(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return n.resolveArtifact(ctx, req, c)
+}
+
 // resolveArtifact is the role-independent half of answering an AFR1
 // fetch: once the role has found the clip whose content digest the
-// peer asked for (src, under the name clip), it resolves the requested
-// artifact through the node's own tier and encodes it. track yields
-// the clip's annotation track; it is only called for the kinds that
-// need one. Variants are only served when the encoder signature matches
-// this node's configuration: a mismatch is a clean not-found, telling
-// the requester to compute under its own settings rather than receive
-// bits encoded under different parameters.
-func (n *nodeCore) resolveArtifact(ctx context.Context, req cluster.FetchRequest, clip string, src core.Source, track func() (*annotation.Track, error)) ([]byte, error) {
-	t := n.tierFor(clip)
-	cfg := n.enc.withDefaults(src.FPS())
+// peer asked for, it resolves the requested artifact through the node's
+// own tier and encodes it. The clip's track is only fetched for the
+// kinds that need one. Variants are only served when the encoder
+// signature matches this node's configuration: a mismatch is a clean
+// not-found, telling the requester to compute under its own settings
+// rather than receive bits encoded under different parameters.
+func (n *nodeCore) resolveArtifact(ctx context.Context, req cluster.FetchRequest, c nodeClip) ([]byte, error) {
+	t := n.tierFor(c.name)
+	cfg := n.enc.withDefaults(c.src.FPS())
 	if (req.Kind == "variant" || req.Kind == "raw") && req.Suffix != encSig(cfg) {
 		return nil, fmt.Errorf("%w: encoder config %s here, %s requested", cluster.ErrNotFound, encSig(cfg), req.Suffix)
 	}
 	if req.Kind == "raw" {
-		v, err := rawVariantFor(ctx, t, req.Digest, src, cfg)
+		v, err := rawVariantFor(ctx, t, req.Digest, c.src, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -385,7 +496,7 @@ func (n *nodeCore) resolveArtifact(ctx context.Context, req cluster.FetchRequest
 	if req.Kind != "track" && req.Kind != "levels" && req.Kind != "variant" {
 		return nil, fmt.Errorf("%w: unknown artifact kind %q", cluster.ErrNotFound, req.Kind)
 	}
-	tr, err := track()
+	tr, err := c.track()
 	if err != nil {
 		return nil, err
 	}
@@ -399,9 +510,30 @@ func (n *nodeCore) resolveArtifact(ctx context.Context, req cluster.FetchRequest
 		}
 		return b, nil
 	}
-	v, err := variantFor(ctx, t, req.Digest, src, tr, req.Quality, cfg)
+	v, err := variantFor(ctx, t, req.Digest, c.src, tr, req.Quality, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return encodeVariantArtifact(v)
+}
+
+// track returns the clip's annotation track, computing and caching it on
+// first use (the offline analysis step). Concurrent sessions requesting
+// an uncached clip share one pipeline run via single-flight, and in a
+// cluster the track's shard owner is asked before the pipeline runs.
+func (n *nodeCore) track(ctx context.Context, clip, digest string, src core.Source) (*annotation.Track, error) {
+	v, err := n.tierFor(clip).getOrCompute(ctx,
+		anncache.Key{Kind: "track", Digest: digest, Quality: -1}, "", trackCodec,
+		func(ctx context.Context) (any, int64, error) {
+			t, _, err := core.AnnotatePipeline(ctx, src, scene.DefaultConfig(src.FPS()), nil,
+				core.AnnotateOptions{Workers: n.annWorkers})
+			if err != nil {
+				return nil, 0, err
+			}
+			return t, int64(t.Size()), nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*annotation.Track), nil
 }

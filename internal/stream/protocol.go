@@ -235,10 +235,32 @@ func WriteError(w io.Writer, msg string) error {
 // ErrOverCapacity.
 func WriteOverCapacity(w io.Writer) error { return WriteError(w, overCapacityMsg) }
 
+// serverError is an error frame other than over-capacity: a definitive
+// refusal (unknown clip, bad request) that retrying cannot change. msg
+// is the peer's text, so a proxy can relay the refusal as worded.
+type serverError struct{ msg string }
+
+func (e *serverError) Error() string { return "stream: server error: " + e.msg }
+
+// refused reports whether err is a definitive refusal. The nil check
+// keeps the target off the heap on the success path.
+func refused(err error) bool { return err != nil && errors.As(err, new(*serverError)) }
+
+// refusalText is the error-frame text for a session a node could not
+// open: an upstream's refusal is relayed as the upstream worded it.
+func refusalText(err error) string {
+	var se *serverError
+	if errors.As(err, &se) {
+		return se.msg
+	}
+	return err.Error()
+}
+
 // ReadResponseMagic reads the 4-byte response discriminator. If it is an
 // error response, the error message is read and returned as remoteErr
-// (wrapping ErrOverCapacity for admission refusals); if it is neither an
-// error frame nor a container stream the call fails with ErrBadMagic.
+// (wrapping ErrOverCapacity for admission refusals, a *serverError for
+// every other refusal); if it is neither an error frame nor a container
+// stream the call fails with ErrBadMagic.
 // Otherwise the caller should continue parsing a container stream whose
 // magic has already been consumed (use the returned bytes).
 func ReadResponseMagic(r io.Reader) (magic [4]byte, remoteErr error, err error) {
@@ -257,7 +279,7 @@ func ReadResponseMagic(r io.Reader) (magic [4]byte, remoteErr error, err error) 
 		if string(msg) == overCapacityMsg {
 			return magic, fmt.Errorf("stream: server error: %s: %w", msg, ErrOverCapacity), nil
 		}
-		return magic, fmt.Errorf("stream: server error: %s", msg), nil
+		return magic, &serverError{msg: string(msg)}, nil
 	}
 	if magic != container.Magic {
 		return magic, nil, fmt.Errorf("%w: got %q", ErrBadMagic, magic[:])

@@ -21,7 +21,6 @@ import (
 	"repro/internal/frame"
 	"repro/internal/obs"
 	"repro/internal/pixel"
-	"repro/internal/scene"
 )
 
 // Proxy is the optional intermediary of Figure 1: "a high-end machine with
@@ -38,8 +37,8 @@ import (
 // until its half-open probe succeeds. Fetches carry dial and per-read
 // deadlines and are retried with backoff, and when every upstream is
 // down a previously-fetched copy of the clip is served stale rather
-// than failing the client. The accept/drain/cache plumbing lives in the
-// embedded nodeCore, shared with the Server.
+// than failing the client. The request path and the accept/drain/cache
+// plumbing live in the embedded nodeCore, shared with the Server.
 type Proxy struct {
 	nodeCore
 
@@ -53,10 +52,8 @@ type Proxy struct {
 	failovers       *obs.Counter
 	probesTotal     *obs.Counter
 
-	// Upstream fetch behaviour.
-	retry        RetryPolicy
-	readTimeout  time.Duration
-	writeTimeout time.Duration
+	// retry bounds and paces upstream fetch attempts.
+	retry RetryPolicy
 }
 
 // proxyEntry is one cached upstream clip.
@@ -82,19 +79,14 @@ func (e *proxyEntry) cost() int64 {
 // failover order: fetches go to the first upstream whose breaker admits
 // them, falling over to the next on failure.
 func NewProxy(upstreams ...string) *Proxy {
-	p := &Proxy{
-		retry:        RetryPolicy{MaxAttempts: 3},
-		readTimeout:  10 * time.Second,
-		writeTimeout: 30 * time.Second,
-	}
+	p := &Proxy{retry: RetryPolicy{MaxAttempts: 3}}
 	p.upCfg = cluster.PeerSetConfig{
 		DialTimeout:   5 * time.Second,
 		ProbeEvery:    500 * time.Millisecond,
 		OnStateChange: p.onBreakerChange,
 		OnProbe:       func() { p.probesTotal.Inc() },
 	}
-	p.initCore("proxy")
-	p.resolveFetch = p.resolveFetchRequest
+	p.initCore("proxy", p, func(conn net.Conn) error { return p.handle(conn, 0) })
 	p.upstreams = cluster.NewPeerSet(upstreams, p.upCfg)
 	return p
 }
@@ -171,22 +163,6 @@ func (p *Proxy) SetRetryPolicy(r RetryPolicy) {
 	p.retry = r
 }
 
-// SetTimeouts overrides the upstream dial and per-read deadlines and the
-// client-facing per-write deadline. Zero keeps the current value. Call
-// before Listen.
-func (p *Proxy) SetTimeouts(dial, read, write time.Duration) {
-	if dial > 0 {
-		p.upCfg.DialTimeout = dial
-		p.rebuildUpstreams()
-	}
-	if read > 0 {
-		p.readTimeout = read
-	}
-	if write > 0 {
-		p.writeTimeout = write
-	}
-}
-
 // SetDial overrides the upstream dial function for fetches and recovery
 // probes (tests inject faulty or tracked links). Call before Listen.
 func (p *Proxy) SetDial(dial func(network, addr string) (net.Conn, error)) {
@@ -194,93 +170,43 @@ func (p *Proxy) SetDial(dial func(network, addr string) (net.Conn, error)) {
 	p.rebuildUpstreams()
 }
 
-// Listen starts accepting client connections.
-func (p *Proxy) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	p.Serve(ln)
-	return ln.Addr(), nil
-}
-
-// Serve accepts client connections from a caller-provided listener
-// (chaos runs wrap a fault-injecting listener around a plain TCP one);
-// the node core starts the upstream recovery prober.
-func (p *Proxy) Serve(ln net.Listener) { p.serve(ln, p.clientSession) }
-
-// clientSession adapts handle to the shared session wrapper.
-func (p *Proxy) clientSession(conn net.Conn) error { return p.handle(conn) }
-
-func (p *Proxy) handle(rawConn net.Conn) error {
-	ctx := obs.WithRegistry(p.ctx, p.obsReg)
-	conn := &deadlineConn{Conn: rawConn, readTimeout: p.readTimeout, writeTimeout: p.writeTimeout}
-	// Dispatch by magic: peer artifact fetches (AFR1) answer through
-	// the cluster path, everything else is a client negotiation.
-	var magic [4]byte
-	if _, err := io.ReadFull(conn, magic[:]); err != nil {
-		WriteError(conn, "bad request")
-		return fmt.Errorf("%w: short request: %v", ErrProtocol, err)
-	}
-	if magic == cluster.FetchMagic {
-		return p.serveFetch(ctx, conn)
-	}
-	req, err := readRequestBody(magic, conn)
-	if err != nil {
-		WriteError(conn, "bad request")
-		return err
-	}
-	// Join the client's trace or root one; everything below — the
-	// upstream fetch, the annotation pipeline, the artifact lookups —
-	// hangs off this session span.
-	if req.Trace.Valid() {
-		ctx = obs.WithSpanContext(ctx, req.Trace)
-	}
-	ctx, sp := obs.StartSpanCtx(ctx, "proxy.session")
-	defer sp.End()
-	sp.SetAttr("clip", req.Clip)
-	sp.SetAttr("device", req.Device)
+// open fetches and revalidates a client's clip upstream, or serves the
+// stale copy when every upstream is down.
+func (p *Proxy) open(ctx context.Context, req Request) (nodeClip, error) {
 	entry, stale, err := p.fetchSource(ctx, req.Clip, req.Device)
 	if err != nil {
-		WriteError(conn, err.Error())
-		sp.SetAttr("error", err.Error())
-		return err
+		return nodeClip{}, err
 	}
 	if stale {
 		p.staleServes.Inc()
-		sp.SetAttr("stale", "true")
 		p.logf("stream proxy: upstream down, serving %q stale", req.Clip)
 	}
-	err = p.serveAnnotated(ctx, conn, req, entry.digest, entry.src, entry.track)
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-	}
-	return err
+	return entry.clip(req.Clip, stale), nil
 }
 
-// resolveFetchRequest answers a peer's AFR1 artifact fetch: the proxy
-// revalidates the clip against its upstreams (or serves its stale
-// copy), verifies the digest matches what the requester wants, and
-// resolves through its own tier. An unreachable upstream with no stale
-// copy is a clean unavailable — the requester falls back to its own
-// compute path.
-func (p *Proxy) resolveFetchRequest(ctx context.Context, req cluster.FetchRequest) ([]byte, error) {
+// byDigest answers a peer's AFR1 fetch the same way, by the clip-name
+// hint, and verifies the digest matches what the requester wants. An
+// unreachable upstream with no stale copy is a clean unavailable — the
+// requester falls back to its own compute path.
+func (p *Proxy) byDigest(ctx context.Context, req cluster.FetchRequest) (nodeClip, error) {
 	if req.Clip == "" {
-		return nil, fmt.Errorf("%w: proxy resolution needs a clip hint", cluster.ErrNotFound)
+		return nodeClip{}, fmt.Errorf("%w: proxy resolution needs a clip hint", cluster.ErrNotFound)
 	}
-	entry, stale, err := p.fetchSource(ctx, req.Clip, req.Device)
+	c, err := p.open(ctx, Request{Clip: req.Clip, Device: req.Device})
 	if err != nil {
-		return nil, fmt.Errorf("%w: upstream fetch of %q: %v", cluster.ErrPeerUnavailable, req.Clip, err)
+		return nodeClip{}, fmt.Errorf("%w: upstream fetch of %q: %v", cluster.ErrPeerUnavailable, req.Clip, err)
 	}
-	if stale {
-		p.staleServes.Inc()
+	if c.digest != req.Digest {
+		return nodeClip{}, fmt.Errorf("%w: clip %q content digest mismatch", cluster.ErrNotFound, req.Clip)
 	}
-	if entry.digest != req.Digest {
-		return nil, fmt.Errorf("%w: clip %q content digest mismatch", cluster.ErrNotFound, req.Clip)
-	}
-	return p.resolveArtifact(ctx, req, req.Clip, entry.src, func() (*annotation.Track, error) {
-		return entry.track, nil
-	})
+	return c, nil
+}
+
+// clip presents the cached entry as the clip name; its track is already
+// resolved, so serving it does no per-request track lookup.
+func (e *proxyEntry) clip(name string, stale bool) nodeClip {
+	return nodeClip{name: name, src: e.src, digest: e.digest, stale: stale,
+		track: func() (*annotation.Track, error) { return e.track, nil }}
 }
 
 // fetchSource returns the clip's decoded source and annotation track.
@@ -316,11 +242,11 @@ func (p *Proxy) fetchSource(ctx context.Context, clip, device string) (*proxyEnt
 }
 
 // fetchAndAnnotate pulls the clip from the upstream with bounded retries
-// and annotates it (the proxy's transcoder role). Unchanged bytes return
-// prev as is. Changed bytes are digested, and the track is cached by
-// content digest, so content seen before skips re-annotation — and in a
-// cluster, the track's shard owner is asked before the local pipeline
-// runs.
+// (a refusal is not retried) and annotates it (the proxy's transcoder
+// role). Unchanged bytes return prev as is. Changed bytes are digested,
+// and the track is cached by content digest, so content seen before
+// skips re-annotation — and in a cluster, the track's shard owner is
+// asked before the local pipeline runs.
 func (p *Proxy) fetchAndAnnotate(ctx context.Context, clip, device string, prev *proxyEntry) (*proxyEntry, error) {
 	retry := p.retry.withDefaults()
 	var lastErr error
@@ -338,6 +264,9 @@ func (p *Proxy) fetchAndAnnotate(ctx context.Context, clip, device string, prev 
 		}
 		start := time.Now()
 		e, err := p.fetchOnce(ctx, clip, device, prev)
+		if refused(err) {
+			return nil, err
+		}
 		if err != nil {
 			lastErr = err
 			continue
@@ -346,23 +275,10 @@ func (p *Proxy) fetchAndAnnotate(ctx context.Context, clip, device string, prev 
 		if e == prev {
 			return e, nil
 		}
-		src := e.src
-		e.digest = core.SourceDigest(src)
-		tAny, err := p.tierFor(clip).getOrCompute(ctx,
-			anncache.Key{Kind: "track", Digest: e.digest, Quality: -1}, "", trackCodec,
-			func(ctx context.Context) (any, int64, error) {
-				t, _, err := core.AnnotatePipeline(ctx,
-					src, scene.DefaultConfig(src.FPS()), nil,
-					core.AnnotateOptions{Workers: p.annWorkers})
-				if err != nil {
-					return nil, 0, err
-				}
-				return t, int64(t.Size()), nil
-			})
-		if err != nil {
+		e.digest = core.SourceDigest(e.src)
+		if e.track, err = p.track(ctx, clip, e.digest, e.src); err != nil {
 			return nil, fmt.Errorf("annotation failed: %w", err)
 		}
-		e.track = tAny.(*annotation.Track)
 		return e, nil
 	}
 	return nil, fmt.Errorf("upstream unreachable after %d attempts: %v", retry.MaxAttempts, lastErr)
@@ -370,8 +286,10 @@ func (p *Proxy) fetchAndAnnotate(ctx context.Context, clip, device string, prev 
 
 // fetchOnce tries each upstream in failover order, skipping any whose
 // breaker rejects the call; each attempt settles its upstream's breaker
-// with the outcome. A success from a non-primary upstream counts as a
-// failover.
+// with the outcome. A refusal (an error frame other than over-capacity,
+// such as an unknown clip) is a healthy upstream's definitive answer:
+// it settles the breaker as a success and is returned without failing
+// over. A success from a non-primary upstream counts as a failover.
 func (p *Proxy) fetchOnce(ctx context.Context, clip, device string, prev *proxyEntry) (*proxyEntry, error) {
 	addrs := p.upstreams.Addrs()
 	if len(addrs) == 0 {
@@ -386,6 +304,10 @@ func (p *Proxy) fetchOnce(ctx context.Context, clip, device string, prev *proxyE
 		}
 		tried++
 		e, err := p.fetchRaw(ctx, addr, clip, device, prev)
+		if refused(err) {
+			done(nil)
+			return nil, err
+		}
 		done(err)
 		if err != nil {
 			lastErr = err
@@ -426,7 +348,7 @@ func (p *Proxy) fetchRaw(ctx context.Context, addr, clip, device string, prev *p
 	// The single close point for every return path below — the audit
 	// for upstream connection leaks hangs off this defer.
 	defer rawConn.Close()
-	conn := &deadlineConn{Conn: rawConn, readTimeout: p.readTimeout, writeTimeout: p.writeTimeout}
+	conn := &deadlineConn{Conn: rawConn, readTimeout: nodeReadTimeout, writeTimeout: nodeWriteTimeout}
 	// Propagate the trace across the hop: the request carries this fetch
 	// span's context (when there is one) so the upstream server.session
 	// parents under it.

@@ -23,7 +23,6 @@ import (
 	"repro/internal/netsched"
 	"repro/internal/obs"
 	"repro/internal/power"
-	"repro/internal/scene"
 )
 
 // DefaultCacheCapacity is the artifact-cache byte budget servers and
@@ -94,30 +93,23 @@ func newServerMetrics(r *obs.Registry, role string) serverMetrics {
 
 // Server stores clips and streams them, annotated and compensated, to
 // clients. It plays the role of the multimedia server of Figure 1.
-// The accept/drain/cache plumbing lives in the embedded nodeCore,
-// shared with the Proxy.
+// The request path and the accept/drain/cache plumbing live in the
+// embedded nodeCore, shared with the Proxy.
 type Server struct {
 	nodeCore
 
 	catalog map[string]core.Source
-	scene   func(fps int) scene.Config
 
-	// handshakeTimeout bounds reading the negotiation request;
-	// writeTimeout is re-armed before every write, so a client that
-	// stops draining its socket cannot pin a session goroutine.
-	handshakeTimeout time.Duration
-	writeTimeout     time.Duration
-	// maxSessions caps concurrent sessions (0 = unlimited). Connections
-	// over the cap wait in a bounded admission queue (queueDepth slots,
-	// up to queueWait each) and are shed with a clean over-capacity
-	// refusal only when the queue is full or the wait deadline expires —
-	// a short burst rides the queue instead of being refused outright.
-	maxSessions int
-	queueDepth  int
-	queueWait   time.Duration
-	queueSet    bool
-	slots       chan struct{}
-	waiters     atomic.Int64
+	// slots caps concurrent sessions (nil = unlimited). Connections over
+	// the cap wait in a bounded admission queue (queueDepth slots, up to
+	// queueWait each) and are shed with a clean over-capacity refusal
+	// only when the queue is full or the wait deadline expires — a short
+	// burst rides the queue instead of being refused outright.
+	slots      chan struct{}
+	queueDepth int
+	queueWait  time.Duration
+	queueSet   bool
+	waiters    atomic.Int64
 
 	// digests memoises the content digest per catalog clip name (the
 	// catalog is immutable once the server is serving).
@@ -203,30 +195,24 @@ func (v *variant) cost() int64 {
 
 // NewServer builds a server over the given catalog.
 func NewServer(catalog map[string]core.Source) *Server {
-	s := &Server{
-		catalog:          catalog,
-		scene:            scene.DefaultConfig,
-		handshakeTimeout: 10 * time.Second,
-		writeTimeout:     30 * time.Second,
-		digests:          map[string]string{},
-	}
-	s.initCore("server")
-	s.resolveFetch = s.resolveFetchRequest
+	s := &Server{catalog: catalog, digests: map[string]string{}}
+	s.initCore("server", s, s.clientSession)
 	return s
-}
-
-// SetTimeouts overrides the per-connection handshake-read and per-write
-// deadlines (zero leaves a direction unbounded). Call before Listen.
-func (s *Server) SetTimeouts(handshake, write time.Duration) {
-	s.handshakeTimeout = handshake
-	s.writeTimeout = write
 }
 
 // SetMaxSessions caps concurrent client sessions (0 = unlimited).
 // Connections over the cap wait in a bounded admission queue and are
 // shed with a clean over-capacity refusal only once the queue is full or
 // the wait deadline expires (see SetAdmissionQueue). Call before Listen.
-func (s *Server) SetMaxSessions(n int) { s.maxSessions = n }
+func (s *Server) SetMaxSessions(n int) {
+	s.slots = nil
+	if n > 0 {
+		s.slots = make(chan struct{}, n)
+	}
+	if !s.queueSet {
+		s.queueDepth = n
+	}
+}
 
 // SetAdmissionQueue tunes load shedding under a SetMaxSessions cap:
 // depth is the number of connections allowed to wait for a session slot
@@ -242,32 +228,6 @@ func (s *Server) SetAdmissionQueue(depth int, wait time.Duration) {
 // SetEncodeConfig overrides codec parameters.
 func (s *Server) SetEncodeConfig(c EncodeConfig) { s.enc = c }
 
-// Listen starts accepting connections on addr and returns the bound
-// address (useful with ":0").
-func (s *Server) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.Serve(ln)
-	return ln.Addr(), nil
-}
-
-// Serve accepts connections from a caller-provided listener (chaos runs
-// wrap a fault-injecting listener around a plain TCP one).
-func (s *Server) Serve(ln net.Listener) {
-	s.mu.Lock()
-	if s.maxSessions > 0 && s.slots == nil {
-		s.slots = make(chan struct{}, s.maxSessions)
-		if !s.queueSet {
-			s.queueDepth = s.maxSessions
-			s.queueWait = time.Second
-		}
-	}
-	s.mu.Unlock()
-	s.serve(ln, s.clientSession)
-}
-
 // clientSession runs one accepted connection: admission, then the
 // protocol handler (teardown and panic isolation live in the shared
 // session wrapper). A shed connection is a clean refusal, not an
@@ -278,9 +238,7 @@ func (s *Server) clientSession(conn net.Conn) error {
 		// Load shedding: refuse cleanly so resilient clients back off
 		// and retry instead of timing out mid-handshake.
 		s.sm.shed.Inc()
-		if s.writeTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		}
+		conn.SetWriteDeadline(time.Now().Add(nodeWriteTimeout))
 		WriteOverCapacity(conn)
 		return nil
 	}
@@ -337,58 +295,39 @@ func (s *Server) release() {
 	}
 }
 
-func (s *Server) handle(rawConn net.Conn, admitWait time.Duration) error {
-	ctx := obs.WithRegistry(s.ctx, s.obsReg)
-	// The negotiation must arrive promptly; every later write re-arms
-	// its own deadline so a stalled client cannot pin the session.
-	conn := &deadlineConn{Conn: rawConn, readTimeout: s.handshakeTimeout, writeTimeout: s.writeTimeout}
-	// One listener, two protocols: the 4-byte magic routes peer
-	// artifact fetches (AFR1) to the cluster path, everything else to
-	// the client negotiation parser.
-	var magic [4]byte
-	if _, err := io.ReadFull(conn, magic[:]); err != nil {
-		WriteError(conn, "bad request")
-		return fmt.Errorf("%w: short request: %v", ErrProtocol, err)
-	}
-	if magic == cluster.FetchMagic {
-		return s.serveFetch(ctx, conn)
-	}
-	req, err := readRequestBody(magic, conn)
-	if err != nil {
-		WriteError(conn, "bad request")
-		return err
-	}
-	// A request carrying the caller's span context makes this session a
-	// child in the caller's trace. Without one, the session roots a
-	// trace of its own.
-	if req.Trace.Valid() {
-		ctx = obs.WithSpanContext(ctx, req.Trace)
-	}
-	ctx, sp := obs.StartSpanCtx(ctx, "server.session")
-	defer sp.End()
-	sp.SetAttr("clip", req.Clip)
-	sp.SetAttr("device", req.Device)
-	if admitWait > time.Millisecond {
-		sp.SetAttr("admit_wait", admitWait.Round(time.Millisecond).String())
-	}
+// open finds a client's clip in the catalog.
+func (s *Server) open(ctx context.Context, req Request) (nodeClip, error) {
 	src, ok := s.catalog[req.Clip]
 	if !ok {
-		WriteError(conn, fmt.Sprintf("unknown clip %q", req.Clip))
-		sp.SetAttr("error", "unknown clip")
-		return fmt.Errorf("unknown clip %q requested by %q", req.Clip, req.Device)
+		return nodeClip{}, fmt.Errorf("unknown clip %q", req.Clip)
 	}
-	switch req.Mode {
-	case ModeRaw:
-		sp.SetAttr("mode", "raw")
-		err = s.streamRaw(ctx, conn, req.Clip, src)
-	default:
-		sp.SetAttr("mode", "annotated")
-		err = s.streamAnnotated(ctx, conn, src, req)
+	return s.clip(ctx, req.Clip, s.digestOf(req.Clip, src), src), nil
+}
+
+// byDigest maps the content digest a peer's AFR1 fetch names back to a
+// catalog clip. This node is the shard owner (or is acting as one while
+// the owner is down), so the artifact is computed at most once
+// fleet-wide. The requester's clip-name hint is tried first (one digest
+// computation) but always verified; a stale or missing hint falls back
+// to scanning the catalog, so a renamed clip still resolves as long as
+// its content matches.
+func (s *Server) byDigest(ctx context.Context, req cluster.FetchRequest) (nodeClip, error) {
+	if src, ok := s.catalog[req.Clip]; ok && s.digestOf(req.Clip, src) == req.Digest {
+		return s.clip(ctx, req.Clip, req.Digest, src), nil
 	}
-	if err != nil {
-		sp.SetAttr("error", err.Error())
+	for name, src := range s.catalog {
+		if s.digestOf(name, src) == req.Digest {
+			return s.clip(ctx, name, req.Digest, src), nil
+		}
 	}
-	return err
+	return nodeClip{}, fmt.Errorf("%w: no catalog clip with digest %.16s", cluster.ErrNotFound, req.Digest)
+}
+
+// clip wraps a catalog clip; its track is computed on first use.
+func (s *Server) clip(ctx context.Context, name, digest string, src core.Source) nodeClip {
+	return nodeClip{name: name, src: src, digest: digest, track: func() (*annotation.Track, error) {
+		return s.track(ctx, name, digest, src)
+	}}
 }
 
 // digestOf memoises the content digest of a catalog clip: catalog
@@ -411,70 +350,6 @@ func (s *Server) digestOf(name string, src core.Source) string {
 	return d
 }
 
-// sourceByDigest maps a content digest back to a catalog clip. The
-// requester's clip-name hint is tried first (one digest computation);
-// a stale or missing hint falls back to scanning the catalog, so a
-// renamed clip still resolves as long as its content matches.
-func (s *Server) sourceByDigest(hint, digest string) (string, core.Source, bool) {
-	if src, ok := s.catalog[hint]; ok && s.digestOf(hint, src) == digest {
-		return hint, src, true
-	}
-	for name, src := range s.catalog {
-		if s.digestOf(name, src) == digest {
-			return name, src, true
-		}
-	}
-	return "", nil, false
-}
-
-// resolveFetchRequest answers a peer's AFR1 artifact fetch: this node
-// is the shard owner (or is acting as one while the owner is down), so
-// it resolves the artifact through its own tier — computing at most
-// once fleet-wide — and returns the encoded bytes. The digest is
-// always verified against the catalog before the clip-name hint is
-// trusted.
-func (s *Server) resolveFetchRequest(ctx context.Context, req cluster.FetchRequest) ([]byte, error) {
-	name, src, ok := s.sourceByDigest(req.Clip, req.Digest)
-	if !ok {
-		return nil, fmt.Errorf("%w: no catalog clip with digest %.16s", cluster.ErrNotFound, req.Digest)
-	}
-	return s.resolveArtifact(ctx, req, name, src, func() (*annotation.Track, error) {
-		return s.track(ctx, name, src)
-	})
-}
-
-// track returns the clip's annotation track, computing and caching it on
-// first use (the offline analysis step). Concurrent sessions requesting
-// an uncached clip share one pipeline run via single-flight.
-func (s *Server) track(ctx context.Context, name string, src core.Source) (*annotation.Track, error) {
-	dg := s.digestOf(name, src)
-	v, err := s.tierFor(name).getOrCompute(ctx,
-		anncache.Key{Kind: "track", Digest: dg, Quality: -1}, "", trackCodec,
-		func(ctx context.Context) (any, int64, error) {
-			t, _, err := core.AnnotatePipeline(ctx, src, s.scene(src.FPS()), nil,
-				core.AnnotateOptions{Workers: s.annWorkers})
-			if err != nil {
-				return nil, 0, err
-			}
-			return t, int64(t.Size()), nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*annotation.Track), nil
-}
-
-// streamAnnotated sends the annotated, compensated stream: the paper's
-// server role, on the serve path the proxy shares.
-func (s *Server) streamAnnotated(ctx context.Context, conn *deadlineConn, src core.Source, req Request) error {
-	track, err := s.track(ctx, req.Clip, src)
-	if err != nil {
-		WriteError(conn, "annotation failed")
-		return err
-	}
-	return s.serveAnnotated(ctx, conn, req, s.digestOf(req.Clip, src), src, track)
-}
-
 // serveAnnotated streams the annotated, compensated clip to a client,
 // the same in the server and the proxy role (Figure 1): pick the
 // variant for the request's quality, map a resume onto it, attach the
@@ -482,8 +357,14 @@ func (s *Server) streamAnnotated(ctx context.Context, conn *deadlineConn, src co
 // completed session into the power accounting. Variants are encoded
 // once per (content digest, quality index) and cached; the
 // device-levels side channel is cached per device.
-func (n *nodeCore) serveAnnotated(ctx context.Context, conn *deadlineConn, req Request, digest string, src core.Source, track *annotation.Track) error {
-	t := n.tierFor(req.Clip)
+func (n *nodeCore) serveAnnotated(ctx context.Context, conn *deadlineConn, req Request, c nodeClip) error {
+	track, err := c.track()
+	if err != nil {
+		WriteError(conn, "annotation failed")
+		return err
+	}
+	digest, src := c.digest, c.src
+	t := n.tierFor(c.name)
 	qi := rungFor(track, req.Quality)
 	cfg := n.enc.withDefaults(src.FPS())
 	getVariant := func(ctx context.Context, q int) (*variant, error) {
@@ -893,17 +774,19 @@ func newVariantWriter(w io.Writer, src core.Source, track *annotation.Track, v *
 	})
 }
 
-// streamRaw sends the stored clip untouched (for proxies), serving the
-// encoded form from the artifact tier: the first fetch pays one encode
-// and writes through to the store, every later fetch streams the
-// cached wire bytes zero-copy instead of re-encoding the clip.
-func (s *Server) streamRaw(ctx context.Context, w io.Writer, name string, src core.Source) error {
+// streamRaw sends the clip unannotated and uncompensated (ModeRaw, what
+// a proxy fetches upstream), serving the encoded form from the artifact
+// tier: the first fetch pays one encode and writes through to the
+// store, every later fetch streams the cached wire bytes zero-copy
+// instead of re-encoding the clip. A proxy encodes its decoded copy.
+func (n *nodeCore) streamRaw(ctx context.Context, w io.Writer, c nodeClip) error {
 	cw0 := &countingWriter{w: w}
 	defer func() {
-		s.sm.bytesSent.Add(cw0.n)
+		n.sm.bytesSent.Add(cw0.n)
 	}()
-	cfg := s.enc.withDefaults(src.FPS())
-	v, err := rawVariantFor(ctx, s.tierFor(name), s.digestOf(name, src), src, cfg)
+	src := c.src
+	cfg := n.enc.withDefaults(src.FPS())
+	v, err := rawVariantFor(ctx, n.tierFor(c.name), c.digest, src, cfg)
 	if err != nil {
 		return err
 	}
@@ -914,5 +797,5 @@ func (s *Server) streamRaw(ctx context.Context, w io.Writer, name string, src co
 	if err != nil {
 		return err
 	}
-	return sendWire(ctx, cw, v, 0, len(v.frames), s.sm.framesSent)
+	return sendWire(ctx, cw, v, 0, len(v.frames), n.sm.framesSent)
 }

@@ -331,14 +331,14 @@ func TestServerAnnotationCacheIsReused(t *testing.T) {
 	}
 	// Second session must reuse the cached track (same pointer).
 	src := testCatalog()["night"]
-	first, err := srv.track(context.Background(), "night", src)
+	first, err := srv.track(context.Background(), "night", srv.digestOf("night", src), src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.Play(addr, "night", 0.2); err != nil {
 		t.Fatal(err)
 	}
-	second, err := srv.track(context.Background(), "night", src)
+	second, err := srv.track(context.Background(), "night", srv.digestOf("night", src), src)
 	if err != nil {
 		t.Fatal(err)
 	}

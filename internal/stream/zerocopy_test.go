@@ -34,7 +34,7 @@ func buildServingFixture(t testing.TB) (core.Source, *annotation.Track, *variant
 	src := cat["night"]
 	s := NewServer(cat)
 	s.SetLogf(quiet)
-	track, err := s.track(context.Background(), "night", src)
+	track, err := s.track(context.Background(), "night", s.digestOf("night", src), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,15 +263,19 @@ func TestStreamRawServedFromCache(t *testing.T) {
 	s.SetObserver(reg)
 	ctx := obs.WithRegistry(context.Background(), reg)
 
+	c, err := s.open(ctx, Request{Clip: "night", Mode: ModeRaw})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var first, second bytes.Buffer
-	if err := s.streamRaw(ctx, &first, "night", src); err != nil {
+	if err := s.streamRaw(ctx, &first, c); err != nil {
 		t.Fatal(err)
 	}
 	encodes := countSpans(reg, "stream.raw_encode")
 	if encodes == 0 {
 		t.Fatal("cold raw fetch recorded no encode span; span accounting broken")
 	}
-	if err := s.streamRaw(ctx, &second, "night", src); err != nil {
+	if err := s.streamRaw(ctx, &second, c); err != nil {
 		t.Fatal(err)
 	}
 	if n := countSpans(reg, "stream.raw_encode"); n != encodes {
