@@ -76,15 +76,15 @@ func (c LadderConfig) withDefaults() LadderConfig {
 
 // Ladder is the live controller state for one session.
 type Ladder struct {
-	cfg     LadderConfig
-	track   *annotation.Track
-	model   *power.Model
-	cur     int
-	floor   int // worst rung (highest quality index)
-	decided int // decisions so far
-	dwell   int // decisions since the last switch
-	upRun   int // consecutive above-UpLead decisions
-	log     []int // decision indexes of past switches (rolling-window bound)
+	cfg      LadderConfig
+	track    *annotation.Track
+	model    *power.Model
+	cur      int
+	floor    int   // worst rung (highest quality index)
+	decided  int   // decisions so far
+	dwell    int   // decisions since the last switch
+	upRun    int   // consecutive above-UpLead decisions
+	log      []int // decision indexes of past switches (rolling-window bound)
 	switches int
 }
 

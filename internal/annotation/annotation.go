@@ -154,20 +154,50 @@ func (t *Track) QualityIndex(budget float64) int {
 }
 
 // TargetAt returns the annotated target luminance (0..1) for the given
-// frame at quality index qi. It is O(#scenes); playback uses Cursor.
+// frame at quality index qi. It is O(#scenes); playback uses Cursor. A
+// frame past the track's end keeps the last non-empty record's target
+// (full luminance when there is none), as a Cursor does.
 func (t *Track) TargetAt(frameIdx, qi int) float64 {
-	pos := 0
+	target, pos := 1.0, 0
 	for _, r := range t.Records {
-		pos += r.Frames
-		if frameIdx < pos {
-			return float64(r.Targets[qi]) / 255
+		if r.Frames == 0 {
+			continue
+		}
+		target = float64(r.Targets[qi]) / 255
+		if pos += r.Frames; frameIdx < pos {
+			return target
 		}
 	}
-	if len(t.Records) == 0 {
-		return 1
+	return target
+}
+
+// Walker follows a track's records frame by frame: the one answer to
+// "which record does this frame fall in" for every player, encoder and
+// ledger. Zero-frame records (the wire format admits them) own no frame
+// and are skipped. The zero Walker walks an empty track.
+type Walker struct {
+	records []Record
+	rec, in int // current record, frames of it already walked
+}
+
+// Walk starts a walker at frame 0.
+func (t *Track) Walk() Walker { return Walker{records: t.Records} }
+
+// Next returns the record of the next frame (len(Records) once the track
+// is exhausted) and whether that frame opens its scene.
+func (w *Walker) Next() (rec int, sceneStart bool) {
+	for w.rec < len(w.records) && w.records[w.rec].Frames == 0 {
+		w.rec++
 	}
-	last := t.Records[len(t.Records)-1]
-	return float64(last.Targets[qi]) / 255
+	rec = w.rec
+	if rec >= len(w.records) {
+		return rec, false
+	}
+	sceneStart = w.in == 0
+	if w.in++; w.in >= w.records[rec].Frames {
+		w.rec, w.in = rec+1, 0
+	}
+	return rec, sceneStart
 }
 
 // Cursor walks a track in playback order with O(1) per-frame cost — the
@@ -176,8 +206,7 @@ func (t *Track) TargetAt(frameIdx, qi int) float64 {
 type Cursor struct {
 	track   *Track
 	qi      int
-	rec     int
-	remain  int
+	walk    Walker
 	current float64
 }
 
@@ -186,36 +215,17 @@ func (t *Track) NewCursor(qi int) *Cursor {
 	if qi < 0 || qi >= len(t.Quality) {
 		panic(fmt.Sprintf("annotation: quality index %d out of range", qi))
 	}
-	c := &Cursor{track: t, qi: qi, rec: -1, current: 1}
-	c.advance()
-	return c
-}
-
-func (c *Cursor) advance() {
-	c.rec++
-	if c.rec < len(c.track.Records) {
-		r := c.track.Records[c.rec]
-		c.remain = r.Frames
-		c.current = float64(r.Targets[c.qi]) / 255
-	} else {
-		c.remain = math.MaxInt
-	}
+	return &Cursor{track: t, qi: qi, walk: t.Walk(), current: 1}
 }
 
 // Next returns the target luminance for the next frame and whether that
-// frame starts a new scene (i.e. the backlight should be re-set).
+// frame starts a new scene (i.e. the backlight should be re-set). Past
+// the track's end it keeps the last scene's target.
 func (c *Cursor) Next() (target float64, sceneStart bool) {
-	start := false
-	for c.remain == 0 {
-		c.advance()
-		if c.rec < len(c.track.Records) {
-			start = true
-		}
+	rec, start := c.walk.Next()
+	if rec < len(c.track.Records) {
+		c.current = float64(c.track.Records[rec].Targets[c.qi]) / 255
 	}
-	if c.rec == 0 && len(c.track.Records) > 0 && c.track.Records[0].Frames == c.remain {
-		start = true // very first frame
-	}
-	c.remain--
 	return c.current, start
 }
 

@@ -139,6 +139,57 @@ func TestCursorEmptyTrackSafe(t *testing.T) {
 	}
 }
 
+// TestZeroFrameRecordsOwnNoFrame: a zero-frame record, wherever it sits,
+// never owns a frame, never opens a scene and never lends its target —
+// and Walker, Cursor and TargetAt agree on every frame, past the end
+// too.
+func TestZeroFrameRecordsOwnNoFrame(t *testing.T) {
+	rec := func(frames int, target uint8) Record { return Record{Frames: frames, Targets: []uint8{target}} }
+	cases := map[string][]Record{
+		"leading":   {rec(0, 7), rec(2, 100), rec(3, 50)},
+		"middle":    {rec(2, 100), rec(0, 7), rec(3, 50)},
+		"trailing":  {rec(2, 100), rec(0, 7)},
+		"only-zero": {rec(0, 7)},
+		"scattered": {rec(0, 7), rec(0, 8), rec(1, 100), rec(0, 9), rec(2, 50), rec(0, 6)},
+	}
+	for name, records := range cases {
+		tr := &Track{FPS: 10, Quality: []float64{0}, Records: records}
+		// The expected walk, spelled out: each non-empty record's frames
+		// in order, then past the end the last such record's target (1
+		// when there is none).
+		type frame struct {
+			rec    int
+			start  bool
+			target float64
+		}
+		var want []frame
+		last := 1.0
+		for ri, r := range records {
+			for i := 0; i < r.Frames; i++ {
+				last = float64(r.Targets[0]) / 255
+				want = append(want, frame{ri, i == 0, last})
+			}
+		}
+		for i := 0; i < 3; i++ {
+			want = append(want, frame{len(records), false, last})
+		}
+		walk, cur := tr.Walk(), tr.NewCursor(0)
+		for i, w := range want {
+			ri, start := walk.Next()
+			target, cstart := cur.Next()
+			if ri != w.rec || start != w.start {
+				t.Errorf("%s: frame %d: walker (record %d, start %v), want (%d, %v)", name, i, ri, start, w.rec, w.start)
+			}
+			if target != w.target || cstart != w.start {
+				t.Errorf("%s: frame %d: cursor (target %v, start %v), want (%v, %v)", name, i, target, cstart, w.target, w.start)
+			}
+			if got := tr.TargetAt(i, 0); got != w.target {
+				t.Errorf("%s: frame %d: TargetAt %v, want %v", name, i, got, w.target)
+			}
+		}
+	}
+}
+
 func TestNewCursorPanicsOnBadIndex(t *testing.T) {
 	tr := sampleTrack()
 	for _, qi := range []int{-1, len(tr.Quality)} {

@@ -22,11 +22,11 @@ func FuzzReadFetchRequest(f *testing.F) {
 	seed(FetchRequest{Kind: "track", Digest: "deadbeef", Quality: -1, Clip: "sunset"})
 	seed(FetchRequest{Kind: "variant", Digest: "deadbeef", Suffix: "+g10q3", Quality: 3, Device: "oled", Clip: "x"})
 	seed(FetchRequest{Kind: "levels", Digest: "d", Device: "phone"})
-	f.Add([]byte("AFR1"))                      // magic only
-	f.Add([]byte("AFR1\x05trac"))              // truncated kind
-	f.Add([]byte("AFR1\xfftrack"))             // kind length over bound
-	f.Add([]byte("AFR1\x01k\xff\xffd"))        // digest length over bound
-	f.Add([]byte("RQS4\x80\x00\x03abc"))       // a client request, not a fetch
+	f.Add([]byte("AFR1"))                // magic only
+	f.Add([]byte("AFR1\x05trac"))        // truncated kind
+	f.Add([]byte("AFR1\xfftrack"))       // kind length over bound
+	f.Add([]byte("AFR1\x01k\xff\xffd"))  // digest length over bound
+	f.Add([]byte("RQS4\x80\x00\x03abc")) // a client request, not a fetch
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := ReadFetchRequest(bytes.NewReader(data))
 		if err != nil {
@@ -77,10 +77,10 @@ func FuzzReadFetchResponse(f *testing.F) {
 	errBuf.Reset()
 	WriteFetchError(&errBuf, CodeUnavailable, "draining")
 	f.Add(errBuf.Bytes())
-	f.Add([]byte("AFO1\xff\xff\xff\xff"))       // hostile length
-	f.Add([]byte("AFO1\x00\x00\x00\x04ab"))     // truncated payload
-	f.Add([]byte("AFE1\x01\x00\x05no"))         // truncated error message
-	f.Add([]byte("ERR1\x00\x03bad"))            // wrong protocol family
+	f.Add([]byte("AFO1\xff\xff\xff\xff"))   // hostile length
+	f.Add([]byte("AFO1\x00\x00\x00\x04ab")) // truncated payload
+	f.Add([]byte("AFE1\x01\x00\x05no"))     // truncated error message
+	f.Add([]byte("ERR1\x00\x03bad"))        // wrong protocol family
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxBytes = 1 << 20
 		payload, err := ReadFetchResponse(bytes.NewReader(data), maxBytes)

@@ -22,14 +22,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"repro/internal/annotation"
 	"repro/internal/battery"
 	"repro/internal/compensate"
 	"repro/internal/display"
 	"repro/internal/frame"
-	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/scene"
 	"repro/internal/video"
@@ -68,18 +66,10 @@ func (s ClipSource) Frame(i int) *frame.Frame { return s.Clip.Frame(i) }
 // the given thresholds, and annotation of every scene at every quality
 // level. Scene targets are computed so the clipping budget holds on every
 // frame of the scene, not merely in aggregate. It returns the track and
-// the detected scenes (the latter for diagnostics and figures).
+// the detected scenes (the latter for diagnostics and figures). It runs
+// the sequential path; use AnnotatePipeline for the concurrent one.
 func Annotate(src Source, cfg scene.Config, quality []float64) (*annotation.Track, []scene.Scene, error) {
-	return AnnotateContext(context.Background(), src, cfg, quality)
-}
-
-// AnnotateContext is Annotate with telemetry: when the context carries
-// an obs.Registry (obs.WithRegistry), each stage of the offline pass —
-// luminance statistics, scene detection, track construction — records a
-// latency span, and frame/scene counters are advanced. It runs the
-// sequential path; use AnnotatePipeline for the concurrent one.
-func AnnotateContext(ctx context.Context, src Source, cfg scene.Config, quality []float64) (*annotation.Track, []scene.Scene, error) {
-	return AnnotatePipeline(ctx, src, cfg, quality, AnnotateOptions{})
+	return AnnotatePipeline(context.Background(), src, cfg, quality, AnnotateOptions{})
 }
 
 // PlaybackOptions configures a simulated playback run.
@@ -149,17 +139,10 @@ type Report struct {
 }
 
 // Play simulates annotated playback of src on the configured device and
-// returns the aggregated report. The power model is the default playback
-// model for the device; the DAQ is the paper's bench configuration.
+// returns the aggregated report. Frames are accounted by a power.Ledger,
+// the integrator streamed sessions use too, under the device's default
+// playback model; the DAQ is the paper's bench configuration.
 func Play(src Source, track *annotation.Track, opt PlaybackOptions) (*Report, error) {
-	return PlayContext(context.Background(), src, track, opt)
-}
-
-// PlayContext is Play with telemetry: when the context carries an
-// obs.Registry, the simulated online path records a latency span and
-// publishes per-quality-level savings gauges (the Figure 9/10
-// quantities, live).
-func PlayContext(ctx context.Context, src Source, track *annotation.Track, opt PlaybackOptions) (*Report, error) {
 	if opt.Device == nil {
 		return nil, fmt.Errorf("core: playback needs a device profile")
 	}
@@ -177,6 +160,7 @@ func PlayContext(ctx context.Context, src Source, track *annotation.Track, opt P
 	dev := opt.Device
 	dev.BuildInverse()
 	model := power.DefaultModel(dev)
+	led := power.NewLedgerModel(model)
 	qi := track.QualityIndex(opt.Quality)
 	cursor := track.NewCursor(qi)
 	frameSeconds := 1 / float64(src.FPS())
@@ -187,35 +171,16 @@ func PlayContext(ctx context.Context, src Source, track *annotation.Track, opt P
 		Frames:          n,
 		Scenes:          len(track.Records),
 		AnnotationBytes: track.Size(),
-		Trace:           &power.Trace{},
-		Reference:       &power.Trace{},
 	}
 
 	level := display.MaxLevel
-	prevLevel := -1
-	var levelSum float64
 	var clippedSum, errSum, errMax float64
-
-	sp := obs.StartSpan(ctx, "play.simulate")
 	for i := 0; i < n; i++ {
 		target, sceneStart := cursor.Next()
 		if sceneStart {
 			level = dev.LevelFor(target)
 		}
-		if prevLevel >= 0 && level != prevLevel {
-			rep.Switches++
-			if step := absInt(level - prevLevel); step > rep.MaxStep {
-				rep.MaxStep = step
-			}
-		}
-		prevLevel = level
-		levelSum += float64(level)
-
-		state := power.State{Decoding: true, NetworkActive: true, BacklightLevel: level}
-		rep.Trace.Append(frameSeconds, state)
-		refState := state
-		refState.BacklightLevel = display.MaxLevel
-		rep.Reference.Append(frameSeconds, refState)
+		led.Frame(frameSeconds, level)
 
 		if opt.EvaluateQuality || opt.PerFrame {
 			f := src.Frame(i)
@@ -240,20 +205,11 @@ func PlayContext(ctx context.Context, src Source, track *annotation.Track, opt P
 		}
 	}
 
-	sp.End()
-
-	rep.AvgLevel = levelSum / float64(n)
+	lr := led.Report()
+	rep.AvgLevel, rep.Switches, rep.MaxStep = lr.AvgLevel, lr.Switches, lr.MaxStep
+	rep.Trace, rep.Reference = led.Traces()
 	rep.BacklightSavings = model.BacklightSavings(rep.Reference, rep.Trace)
 	rep.TotalSavings = model.Savings(rep.Reference, rep.Trace)
-	if r := obs.FromContext(ctx); r != nil {
-		q := obs.L("quality", strconv.FormatFloat(rep.Quality, 'g', -1, 64))
-		r.Gauge("pipeline_backlight_savings_ratio",
-			"Backlight energy saved vs full backlight on the last playback at this quality level.", q).
-			Set(rep.BacklightSavings)
-		r.Gauge("pipeline_total_savings_ratio",
-			"Whole-device energy saved vs full backlight on the last playback at this quality level.", q).
-			Set(rep.TotalSavings)
-	}
 	if opt.EvaluateQuality {
 		rep.MeanClipped = clippedSum / float64(n)
 		rep.MeanAbsErr = errSum / float64(n)
@@ -304,13 +260,6 @@ func Sweep(src Source, track *annotation.Track, dev *display.Profile) ([]*Report
 		reports = append(reports, rep)
 	}
 	return reports, nil
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // EstimateAveragePower predicts the device's mean playback power at

@@ -355,10 +355,10 @@ func (r *Registry) TraceTrees(min time.Duration) []TraceTree {
 
 // traceTreeJSON is the /debug/traces shape of one trace.
 type traceTreeJSON struct {
-	Trace    string         `json:"trace"`
-	Start    time.Time      `json:"start"`
-	Duration float64        `json:"dur_ms"`
-	Spans    int            `json:"spans"`
+	Trace    string          `json:"trace"`
+	Start    time.Time       `json:"start"`
+	Duration float64         `json:"dur_ms"`
+	Spans    int             `json:"spans"`
 	Roots    []traceNodeJSON `json:"roots"`
 }
 

@@ -26,6 +26,7 @@ type Ledger struct {
 	frames    int
 	levelSum  float64
 	switches  int
+	maxStep   int
 	prevLevel int
 
 	// rung is the quality-ladder rung (quality index) current frames are
@@ -134,6 +135,7 @@ func (l *Ledger) Frame(seconds float64, level int) {
 	l.levelSum += float64(level)
 	if l.prevLevel >= 0 && level != l.prevLevel {
 		l.switches++
+		l.maxStep = max(l.maxStep, level-l.prevLevel, l.prevLevel-level)
 	}
 	l.prevLevel = level
 	if n := len(l.scenes); n > 0 {
@@ -194,6 +196,8 @@ type Report struct {
 	Seconds  float64
 	AvgLevel float64
 	Switches int
+	// MaxStep is the largest single backlight level change.
+	MaxStep int
 
 	// Modeled whole-device energy of the session and of the same
 	// session at full backlight, in joules, integrated under the same
@@ -240,6 +244,7 @@ func (l *Ledger) Report() Report {
 		Scenes:          l.scenes,
 		Seconds:         l.got.Duration(),
 		Switches:        l.switches,
+		MaxStep:         l.maxStep,
 		SessionJoules:   l.model.Energy(&l.got),
 		BaselineJoules:  l.model.Energy(&l.ref),
 		WireBytes:       l.wireBytes,

@@ -68,6 +68,28 @@ func TestLedgerMatchesOfflineModel(t *testing.T) {
 	}
 }
 
+// TestLedgerMaxStep: the report carries the largest single level change
+// in either direction, and none for a constant level.
+func TestLedgerMaxStep(t *testing.T) {
+	cases := []struct {
+		levels            []int
+		switches, maxStep int
+	}{
+		{[]int{10, 200, 50}, 2, 190},
+		{[]int{120, 120, 120}, 0, 0},
+	}
+	for _, c := range cases {
+		led := NewLedger(display.IPAQ5555())
+		for _, lvl := range c.levels {
+			led.Frame(0.1, lvl)
+		}
+		if rep := led.Report(); rep.Switches != c.switches || rep.MaxStep != c.maxStep {
+			t.Errorf("levels %v: switches/max step = %d/%d, want %d/%d",
+				c.levels, rep.Switches, rep.MaxStep, c.switches, c.maxStep)
+		}
+	}
+}
+
 func TestLedgerNetworkToggle(t *testing.T) {
 	dev := display.IPAQ5555()
 	model := DefaultModel(dev)

@@ -45,7 +45,7 @@ type Model struct {
 // band the paper reports for full drive.
 func DefaultModel(dev *display.Profile) *Model {
 	return &Model{
-		Device:         dev,
+		Device:           dev,
 		CPUDecodeWatts:   0.90, // 400 MHz XScale decoding MPEG
 		CPUIdleWatts:     0.25,
 		NetworkWatts:     0.30,

@@ -425,7 +425,6 @@ func (c *Client) consume(ctx context.Context, s *session, rw io.ReadWriter, req 
 		s.expected = resumeOffset + uint32(hdr.FrameCount)
 	}
 
-	var records []annotation.Record
 	s.curQi = 0
 	if hdr.AnnotationsErr != nil {
 		// Corrupt annotation track: play the stream at full backlight
@@ -439,7 +438,6 @@ func (c *Client) consume(ctx context.Context, s *session, rw io.ReadWriter, req 
 		// Each connection resends the track, so the overhead really
 		// crossed the wire again on a resume.
 		s.ledger.AddAnnotationBytes(int64(res.BytesAnn))
-		records = hdr.Annotations.Records
 		s.qualities = hdr.Annotations.Quality
 		// This connection starts at the rung the request named — on an
 		// adaptive resume, the rung in force when the last one died.
@@ -448,13 +446,14 @@ func (c *Client) consume(ctx context.Context, s *session, rw io.ReadWriter, req 
 	// Device-specific level table from the server's negotiation, if sent
 	// (§4.3: levels "can be computed by either the server/proxy ... or by
 	// the client itself").
-	var serverLevels [][]int
+	var levels [][]int
 	if data, ok := hdr.Extra[container.ChunkDeviceLevels]; ok {
-		levels, err := annotation.DecodeLevels(data)
+		table, err := annotation.DecodeLevels(data)
 		if err != nil {
 			s.degrade("device_levels", degradedTotal)
-		} else if hdr.Annotations != nil && len(levels) == len(records) {
-			serverLevels = levels
+		} else if ann := hdr.Annotations; ann != nil && len(table) == len(ann.Records) &&
+			(len(table) == 0 || len(table[0]) == len(ann.Quality)) {
+			levels = table
 			res.ServerLevels = true
 		}
 	}
@@ -512,31 +511,30 @@ func (c *Client) consume(ctx context.Context, s *session, rw io.ReadWriter, req 
 		lm = newLadderMetrics(c.Obs, "client")
 	}
 
-	// The per-frame backlight level is a pure function of (record, rung):
-	// the server's negotiated table when present, the device LUT
-	// otherwise. Recomputing it each frame makes a mid-scene rung switch
-	// land on exactly the frame the new rung's stream starts at.
-	levelFor := func(rec, rung int) int {
-		if rec >= len(records) {
-			return display.MaxLevel
+	// The per-frame backlight level is levels[rec][rung]: the server's
+	// negotiated table when it sent a usable one, otherwise the same table
+	// resolved through the device's own LUT — the client's whole runtime
+	// obligation, one multiply + table look-up per scene. Looking it up
+	// each frame makes a mid-scene rung switch land on exactly the frame
+	// the new rung's stream starts at.
+	var walk annotation.Walker
+	if hdr.Annotations != nil {
+		if levels == nil {
+			levels = hdr.Annotations.LevelsFor(c.Device)
 		}
-		if serverLevels != nil && rung < len(serverLevels[rec]) {
-			return serverLevels[rec][rung]
-		}
-		if rung >= len(records[rec].Targets) {
-			return display.MaxLevel
-		}
-		// The client's whole runtime obligation: one multiply + LUT
-		// lookup, then set the backlight.
-		return c.Device.LevelFor(float64(records[rec].Targets[rung]) / 255)
+		walk = hdr.Annotations.Walk()
 	}
-
-	// A resumed connection replays the scene walk up to the stream's
-	// start, so record indexes match a continuous run (each connection
-	// resends the full track).
-	walk := sceneWalk{records: records}
+	levelFor := func(rec, rung int) int {
+		if rec < len(levels) && rung < len(levels[rec]) {
+			return levels[rec][rung]
+		}
+		return display.MaxLevel
+	}
+	// A resumed connection replays the walk up to the stream's start, so
+	// record indexes match a continuous run (each connection resends the
+	// full track).
 	for g := uint32(0); g < resumeOffset; g++ {
-		walk.next()
+		walk.Next()
 	}
 
 	g := resumeOffset // global (clip) frame index of the next decoded frame
@@ -594,7 +592,7 @@ func (c *Client) consume(ctx context.Context, s *session, rw io.ReadWriter, req 
 		// resume): decoding them warms the predictor, but they were
 		// already delivered and their scene already entered the ledger.
 		fresh := g >= s.emitted
-		rec, sceneStart := walk.next()
+		rec, sceneStart := walk.Next()
 		if sceneStart && fresh && s.lad != nil {
 			if err := c.decideRung(s, rw, g, total, frameSeconds); err != nil {
 				return err
@@ -642,31 +640,6 @@ func (c *Client) consume(ctx context.Context, s *session, rw io.ReadWriter, req 
 		return fmt.Errorf("%w: got %d of %d frames", ErrTruncatedStream, s.emitted, s.expected)
 	}
 	return nil
-}
-
-// sceneWalk follows the annotation records frame by frame. Zero-frame
-// records (the wire format admits them) are skipped, so the index it
-// reports is always the record the frame falls in.
-type sceneWalk struct {
-	records []annotation.Record
-	rec, in int // current record, frames of it already walked
-}
-
-// next returns the record of the next frame (len(records) once the
-// track is exhausted) and whether that frame opens its scene.
-func (w *sceneWalk) next() (rec int, sceneStart bool) {
-	for w.rec < len(w.records) && w.records[w.rec].Frames == 0 {
-		w.rec++
-	}
-	rec = w.rec
-	if rec >= len(w.records) {
-		return rec, false
-	}
-	sceneStart = w.in == 0
-	if w.in++; w.in >= w.records[rec].Frames {
-		w.rec, w.in = rec+1, 0
-	}
-	return rec, sceneStart
 }
 
 // buildLadder (re)builds the session's quality ladder starting at rung

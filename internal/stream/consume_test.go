@@ -97,6 +97,44 @@ func TestFixedSessionSkipsZeroFrameRecords(t *testing.T) {
 	}
 }
 
+// TestFixedSessionResolvesLevelsWithoutUsableChunk: a device-levels
+// chunk whose table does not match the track's shape (here one column
+// for five quality levels) is not used; the client resolves every frame
+// through its own LUT, as when no chunk came at all.
+func TestFixedSessionResolvesLevelsWithoutUsableChunk(t *testing.T) {
+	_, track, _, _, _ := buildServingFixture(t)
+	const budget = 0.125
+	qi := track.QualityIndex(budget)
+	narrow := make([][]int, len(track.Records))
+	for i := range narrow {
+		narrow[i] = []int{7}
+	}
+	chunk, err := annotation.EncodeLevels(narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := track.LevelsFor(display.IPAQ5555())
+	var want []int
+	for ri, rec := range track.Records {
+		for i := 0; i < rec.Frames; i++ {
+			want = append(want, rows[ri][qi])
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		chunk []byte
+	}{{"narrow chunk", chunk}, {"no chunk", nil}} {
+		addr, _ := serveCraftedTrack(t, track, c.chunk)
+		res, levels := playLevels(t, addr, budget)
+		if res.ServerLevels {
+			t.Errorf("%s: client applied a level table of the wrong shape", c.name)
+		}
+		if !slices.Equal(levels, want) {
+			t.Errorf("%s: played levels %v, want the device LUT's %v", c.name, levels, want)
+		}
+	}
+}
+
 // TestFixedSessionPlaysTrackWithoutQualities: a track with no quality
 // levels names no target to play at. The client must treat it as a
 // damaged annotation track — full backlight, "annotations" degraded —

@@ -420,35 +420,31 @@ func accountSessionPower(reg *obs.Registry, role string, req Request, src core.S
 		return
 	}
 	levels := track.LevelsFor(dev)
-	if len(levels) != len(track.Records) {
-		return
-	}
 	led := power.NewLedger(dev)
 	if req.Adaptive {
 		led.SetRung(qi)
 	}
 	frameSeconds := 1 / float64(src.FPS())
-	cur := qi
-	next := 0
-	pos := 0
-	for si, rec := range track.Records {
-		sceneStarted := false
-		for i := 0; i < rec.Frames; i++ {
-			for next < len(switches) && switches[next].frame <= pos {
-				cur = switches[next].rung
-				led.QualitySwitch(cur)
-				next++
-			}
-			if pos >= from {
-				lvl := levels[si][cur]
-				if !sceneStarted {
-					led.StartScene(si, lvl)
-					sceneStarted = true
-				}
-				led.Frame(frameSeconds, lvl)
-			}
-			pos++
+	cur, next := qi, 0
+	walk := track.Walk()
+	for pos := 0; ; pos++ {
+		rec, sceneStart := walk.Next()
+		if rec == len(levels) {
+			break
 		}
+		for next < len(switches) && switches[next].frame <= pos {
+			cur = switches[next].rung
+			led.QualitySwitch(cur)
+			next++
+		}
+		if pos < from {
+			continue
+		}
+		lvl := levels[rec][cur]
+		if sceneStart || pos == from {
+			led.StartScene(rec, lvl)
+		}
+		led.Frame(frameSeconds, lvl)
 	}
 	led.AddWireBytes(int64(wireBytes))
 	led.Report().EmitMetrics(reg, role)
@@ -506,16 +502,11 @@ func prepareVariant(ctx context.Context, src core.Source, track *annotation.Trac
 		return nil, err
 	}
 	sp := obs.StartSpan(ctx, "stream.compensate_encode")
-	// A frame past the track's end keeps the last record's target (full
-	// luminance when there are no records).
-	walk := sceneWalk{records: track.Records}
-	target := 1.0
+	cursor := track.NewCursor(qi)
 	n := src.TotalFrames()
 	frames := make([]*codec.EncodedFrame, 0, n)
 	for i := 0; i < n; i++ {
-		if rec, _ := walk.next(); rec < len(track.Records) {
-			target = float64(track.Records[rec].Targets[qi]) / 255
-		}
+		target, _ := cursor.Next()
 		f := core.CompensateFrame(src.Frame(i), target, compensate.ContrastEnhancement)
 		ef, err := enc.Encode(f)
 		if err != nil {
