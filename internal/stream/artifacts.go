@@ -87,11 +87,6 @@ const variantWirePrefix = 1 + 4
 // streams to the socket — the property that makes sendfile serving of
 // store artifacts sound.
 func encodeVariantArtifact(v *variant) ([]byte, error) {
-	if v.wire == nil {
-		if err := v.seal(); err != nil {
-			return nil, err
-		}
-	}
 	size := variantWirePrefix + len(v.wire) + 4 + len(v.cyclesChunk) + 4 + len(v.scenesChunk)
 	b := make([]byte, 0, size)
 	b = append(b, variantArtifactVersion)

@@ -19,7 +19,7 @@ func serveCraftedTrack(t *testing.T, track *annotation.Track, levels []byte) (ad
 	t.Helper()
 	src, _, v, _, _ := buildServingFixture(t)
 	addr = fakeServer(t, func(conn net.Conn, req Request) {
-		sendVariant(context.Background(), conn, src, track, v, levels, 0, nil, nil)
+		send(context.Background(), conn, src, track, v, levels, 0, nil, nil, nil)
 	})
 	return addr, len(v.frames)
 }

@@ -476,29 +476,27 @@ func (n *nodeCore) resolveFetchRequest(ctx context.Context, req cluster.FetchReq
 // fetch: once the role has found the clip whose content digest the
 // peer asked for, it resolves the requested artifact through the node's
 // own tier and encodes it. The clip's track is only fetched for the
-// kinds that need one. Variants are only served when the encoder
-// signature matches this node's configuration: a mismatch is a clean
-// not-found, telling the requester to compute under its own settings
-// rather than receive bits encoded under different parameters.
+// kinds that need one; the raw encode needs none. Variants are only
+// served when the encoder signature matches this node's configuration:
+// a mismatch is a clean not-found, telling the requester to compute
+// under its own settings rather than receive bits encoded under
+// different parameters.
 func (n *nodeCore) resolveArtifact(ctx context.Context, req cluster.FetchRequest, c nodeClip) ([]byte, error) {
 	t := n.tierFor(c.name)
 	cfg := n.enc.withDefaults(c.src.FPS())
 	if (req.Kind == "variant" || req.Kind == "raw") && req.Suffix != encSig(cfg) {
 		return nil, fmt.Errorf("%w: encoder config %s here, %s requested", cluster.ErrNotFound, encSig(cfg), req.Suffix)
 	}
-	if req.Kind == "raw" {
-		v, err := rawVariantFor(ctx, t, req.Digest, c.src, cfg)
-		if err != nil {
+	var tr *annotation.Track
+	switch req.Kind {
+	case "raw":
+	case "track", "levels", "variant":
+		var err error
+		if tr, err = c.track(); err != nil {
 			return nil, err
 		}
-		return encodeVariantArtifact(v)
-	}
-	if req.Kind != "track" && req.Kind != "levels" && req.Kind != "variant" {
+	default:
 		return nil, fmt.Errorf("%w: unknown artifact kind %q", cluster.ErrNotFound, req.Kind)
-	}
-	tr, err := c.track()
-	if err != nil {
-		return nil, err
 	}
 	switch req.Kind {
 	case "track":

@@ -274,8 +274,9 @@ func TestServerOverCapacityRefusalAndRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer squatter.Close()
-	active := reg.Gauge("stream_active_conns", "", obs.L("role", "server"))
-	for i := 0; active.Value() < 1; i++ {
+	// Wait on the slot itself: stream_active_conns counts the squatter
+	// before its session goroutine has taken the slot.
+	for i := 0; len(s.slots) != 1; i++ {
 		if i > 1000 {
 			t.Fatal("squatter session never registered")
 		}

@@ -230,8 +230,9 @@ func TestServerAdmissionQueueAdmitsAfterSlotFrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer squatter.Close()
-	active := reg.Gauge("stream_active_conns", "", obs.L("role", "server"))
-	waitFor(t, "squatter to hold the slot", func() bool { return active.Value() >= 1 })
+	// Wait on the slot itself: stream_active_conns counts the squatter
+	// before its session goroutine has taken the slot.
+	waitFor(t, "squatter to hold the slot", func() bool { return len(s.slots) == 1 })
 
 	go func() {
 		time.Sleep(150 * time.Millisecond)
@@ -275,8 +276,9 @@ func TestServerShedsWhenQueueFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer squatter.Close()
-	active := reg.Gauge("stream_active_conns", "", obs.L("role", "server"))
-	waitFor(t, "squatter to hold the slot", func() bool { return active.Value() >= 1 })
+	// Wait on the slot itself: stream_active_conns counts the squatter
+	// before its session goroutine has taken the slot.
+	waitFor(t, "squatter to hold the slot", func() bool { return len(s.slots) == 1 })
 
 	waiter, err := net.Dial("tcp", addr.String())
 	if err != nil {
@@ -316,8 +318,9 @@ func TestServerShedsOnQueueWaitDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer squatter.Close()
-	active := reg.Gauge("stream_active_conns", "", obs.L("role", "server"))
-	waitFor(t, "squatter to hold the slot", func() bool { return active.Value() >= 1 })
+	// Wait on the slot itself: stream_active_conns counts the squatter
+	// before its session goroutine has taken the slot.
+	waitFor(t, "squatter to hold the slot", func() bool { return len(s.slots) == 1 })
 
 	start := time.Now()
 	client := &Client{Device: display.IPAQ5555(), Retry: RetryPolicy{MaxAttempts: 1}}

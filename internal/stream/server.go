@@ -177,20 +177,9 @@ func (v *variant) seal() error {
 	return nil
 }
 
-// packets returns the pre-encoded packet run for frames [i, j).
-func (v *variant) packets(i, j int) []byte {
-	return v.wire[v.offs[i]:v.offs[j]]
-}
-
 // cost is the variant's cache cost in bytes.
 func (v *variant) cost() int64 {
-	c := int64(len(v.cyclesChunk)+len(v.scenesChunk)) + int64(len(v.wire))
-	if v.wire == nil {
-		for _, ef := range v.frames {
-			c += int64(ef.Size())
-		}
-	}
-	return c
+	return int64(len(v.cyclesChunk)+len(v.scenesChunk)) + int64(len(v.wire))
 }
 
 // NewServer builds a server over the given catalog.
@@ -367,10 +356,7 @@ func (n *nodeCore) serveAnnotated(ctx context.Context, conn *deadlineConn, req R
 	t := n.tierFor(c.name)
 	qi := rungFor(track, req.Quality)
 	cfg := n.enc.withDefaults(src.FPS())
-	getVariant := func(ctx context.Context, q int) (*variant, error) {
-		return variantFor(ctx, t, digest, src, track, q, cfg)
-	}
-	v, err := getVariant(ctx, qi)
+	v, err := variantFor(ctx, t, digest, src, track, qi, cfg)
 	if err != nil {
 		WriteError(conn, "encoding failed")
 		return err
@@ -384,14 +370,14 @@ func (n *nodeCore) serveAnnotated(ctx context.Context, conn *deadlineConn, req R
 		n.sm.resumes.Inc()
 	}
 	levels := deviceLevelsChunk(ctx, t, digest, req.Device, track)
-	var sent uint64
-	var switches []rungSwitch
+	var lad *ladder
 	if req.Adaptive {
-		sent, switches, err = sendAdaptive(ctx, conn, src, track, v, getVariant, levels, from, qi,
-			n.obsReg, n.role, n.sm.framesSent, n.sm.bytesSent)
-	} else {
-		sent, err = sendVariant(ctx, conn, src, track, v, levels, from, n.sm.framesSent, n.sm.bytesSent)
+		lad = &ladder{ctrl: conn.Conn, rung: qi, metrics: newLadderMetrics(n.obsReg, n.role),
+			variant: func(ctx context.Context, q int) (*variant, error) {
+				return variantFor(ctx, t, digest, src, track, q, cfg)
+			}}
 	}
+	sent, err := send(ctx, conn, src, track, v, levels, from, lad, n.sm.framesSent, n.sm.bytesSent)
 	if err == nil {
 		// The session streamed to completion: fold its modeled power
 		// accounting into the fleet-wide power_saved_* / session_*
@@ -399,7 +385,7 @@ func (n *nodeCore) serveAnnotated(ctx context.Context, conn *deadlineConn, req R
 		// determined by the track, device, quality index and rung
 		// switches, so the node can account savings without hearing
 		// back.
-		accountSessionPower(n.obsReg, n.role, req, src, track, qi, from, sent, switches)
+		accountSessionPower(n.obsReg, n.role, req, src, track, qi, from, sent, lad)
 	}
 	return err
 }
@@ -408,10 +394,9 @@ func (n *nodeCore) serveAnnotated(ctx context.Context, conn *deadlineConn, req R
 // what went over the wire — per-scene backlight levels for the client's
 // device at the negotiated quality — and aggregates it into the
 // power_saved_* / session_* families under the given role. For an
-// adaptive session, switches lists the mid-stream rung changes (in
-// frame order), so each frame is accounted at the rung it was actually
-// served at.
-func accountSessionPower(reg *obs.Registry, role string, req Request, src core.Source, track *annotation.Track, qi, from int, wireBytes uint64, switches []rungSwitch) {
+// adaptive session, lad holds the mid-stream rung changes, so each
+// frame is accounted at the rung it was actually served at.
+func accountSessionPower(reg *obs.Registry, role string, req Request, src core.Source, track *annotation.Track, qi, from int, wireBytes uint64, lad *ladder) {
 	if reg == nil {
 		return
 	}
@@ -421,8 +406,10 @@ func accountSessionPower(reg *obs.Registry, role string, req Request, src core.S
 	}
 	levels := track.LevelsFor(dev)
 	led := power.NewLedger(dev)
-	if req.Adaptive {
+	var switches []rungSwitch
+	if lad != nil {
 		led.SetRung(qi)
+		switches = lad.switches
 	}
 	frameSeconds := 1 / float64(src.FPS())
 	cur, next := qi, 0
@@ -490,107 +477,94 @@ func resumePoint(frames []*codec.EncodedFrame, req Request) (int, error) {
 	return from, nil
 }
 
-// prepareVariant compensates and encodes src at quality index qi and
-// computes the decode-cycle and scene-byte side channels. The whole
+// prepareVariant encodes src at quality index qi into wire form. With a
+// track, every frame is compensated to its scene's target first and the
+// decode-cycle and scene-byte side channels are computed. The whole
 // stream is encoded before anything is sent so that all annotations are
 // available to the client before it decodes anything — the point of
-// annotating ahead of time (§3).
+// annotating ahead of time (§3). A nil track is the payload of a ModeRaw
+// session: src encoded untouched, with no compensation and no side
+// channels (qi is unused).
 func prepareVariant(ctx context.Context, src core.Source, track *annotation.Track, qi int, cfg EncodeConfig) (*variant, error) {
 	width, height := src.Size()
 	enc, err := codec.NewEncoder(width, height, cfg.GOP, cfg.QScale)
 	if err != nil {
 		return nil, err
 	}
-	sp := obs.StartSpan(ctx, "stream.compensate_encode")
-	cursor := track.NewCursor(qi)
-	n := src.TotalFrames()
-	frames := make([]*codec.EncodedFrame, 0, n)
-	for i := 0; i < n; i++ {
-		target, _ := cursor.Next()
-		f := core.CompensateFrame(src.Frame(i), target, compensate.ContrastEnhancement)
-		ef, err := enc.Encode(f)
-		if err != nil {
-			return nil, err
-		}
-		frames = append(frames, ef)
+	spanName := "stream.raw_encode"
+	var cursor *annotation.Cursor
+	if track != nil {
+		spanName = "stream.compensate_encode"
+		cursor = track.NewCursor(qi)
 	}
-	sp.End()
-
-	// Decode-complexity annotations (ChunkDecodeCycles).
-	sp = obs.StartSpan(ctx, "stream.annotate_sidechannels")
-	model := dvs.DefaultCycleModel()
-	estimates := make([]float64, n)
-	for i, ef := range frames {
-		estimates[i] = model.Estimate(ef, width, height)
-	}
-	cycles := dvs.Annotate(estimates, 0.10)
-
-	// Per-scene byte counts (ChunkSceneBytes), aligned with the
-	// annotation track's records.
-	var nsScenes []netsched.Scene
-	pos := 0
-	for _, rec := range track.Records {
-		bytes := 0
-		for i := pos; i < pos+rec.Frames && i < n; i++ {
-			bytes += len(frames[i].Data)
-		}
-		nsScenes = append(nsScenes, netsched.Scene{
-			Bytes:   bytes,
-			Seconds: float64(rec.Frames) / float64(src.FPS()),
-		})
-		pos += rec.Frames
-	}
-	v := &variant{
-		frames:      frames,
-		cyclesChunk: dvs.EncodeCycles(cycles),
-		scenesChunk: netsched.EncodeScenes(nsScenes),
-	}
-	sp.End()
-	if err := v.seal(); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-// prepareRawVariant encodes src untouched — no compensation, no side
-// channels — into wire form: the payload of a ModeRaw session, cached
-// through the artifact tier like any other variant so repeated raw
-// fetches (a proxy re-filling after eviction, a second proxy cold
-// start) stream cached bytes instead of re-encoding the clip.
-func prepareRawVariant(ctx context.Context, src core.Source, cfg EncodeConfig) (*variant, error) {
-	width, height := src.Size()
-	enc, err := codec.NewEncoder(width, height, cfg.GOP, cfg.QScale)
-	if err != nil {
-		return nil, err
-	}
-	sp := obs.StartSpan(ctx, "stream.raw_encode")
-	defer sp.End()
+	sp := obs.StartSpan(ctx, spanName)
 	n := src.TotalFrames()
 	frames := make([]*codec.EncodedFrame, 0, n)
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
+			sp.End()
 			return nil, err
 		}
-		ef, err := enc.Encode(src.Frame(i))
+		f := src.Frame(i)
+		if cursor != nil {
+			target, _ := cursor.Next()
+			f = core.CompensateFrame(f, target, compensate.ContrastEnhancement)
+		}
+		ef, err := enc.Encode(f)
 		if err != nil {
+			sp.End()
 			return nil, err
 		}
 		frames = append(frames, ef)
 	}
+	sp.End()
 	v := &variant{frames: frames}
+
+	if track != nil {
+		// Decode-complexity annotations (ChunkDecodeCycles).
+		sp = obs.StartSpan(ctx, "stream.annotate_sidechannels")
+		model := dvs.DefaultCycleModel()
+		estimates := make([]float64, n)
+		for i, ef := range frames {
+			estimates[i] = model.Estimate(ef, width, height)
+		}
+		v.cyclesChunk = dvs.EncodeCycles(dvs.Annotate(estimates, 0.10))
+
+		// Per-scene byte counts (ChunkSceneBytes), aligned with the
+		// annotation track's records.
+		var nsScenes []netsched.Scene
+		pos := 0
+		for _, rec := range track.Records {
+			bytes := 0
+			for i := pos; i < pos+rec.Frames && i < n; i++ {
+				bytes += len(frames[i].Data)
+			}
+			nsScenes = append(nsScenes, netsched.Scene{
+				Bytes:   bytes,
+				Seconds: float64(rec.Frames) / float64(src.FPS()),
+			})
+			pos += rec.Frames
+		}
+		v.scenesChunk = netsched.EncodeScenes(nsScenes)
+		sp.End()
+	}
 	if err := v.seal(); err != nil {
 		return nil, err
 	}
 	return v, nil
 }
 
-// rawVariantFor is variantFor's ModeRaw counterpart: encode once per
-// (content digest, encoder config), serve forever.
-func rawVariantFor(ctx context.Context, t tier, digest string, src core.Source, cfg EncodeConfig) (*variant, error) {
-	vAny, err := t.getOrCompute(ctx,
-		anncache.Key{Kind: "raw", Digest: digest, Quality: -1}, encSig(cfg), variantCodec,
+// variantFor is the cached variant lookup: encode once per (content
+// digest, rung, encoder config), serve forever. A nil track looks up
+// the clip's raw encode (ModeRaw), keyed apart from every rung.
+func variantFor(ctx context.Context, t tier, digest string, src core.Source, track *annotation.Track, qi int, cfg EncodeConfig) (*variant, error) {
+	key := anncache.Key{Kind: "variant", Digest: digest, Quality: qi}
+	if track == nil {
+		key = anncache.Key{Kind: "raw", Digest: digest, Quality: -1}
+	}
+	vAny, err := t.getOrCompute(ctx, key, encSig(cfg), variantCodec,
 		func(ctx context.Context) (any, int64, error) {
-			v, err := prepareRawVariant(ctx, src, cfg)
+			v, err := prepareVariant(ctx, src, track, qi, cfg)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -710,20 +684,22 @@ func sendWireFile(ctx context.Context, cw *container.Writer, ref wireFileRef, st
 	return nil
 }
 
-// sendVariant writes the annotated container for a prepared variant,
-// starting at frame index from (an I-frame boundary; nonzero for a
-// resumed session, in which case the resume-offset side channel tells
-// the client where the stream picks up). A non-nil levelsChunk is the
-// device-specific backlight level table shipped as a side channel
-// (§4.3's negotiation option).
+// send streams a prepared variant, with the header newVariantWriter
+// builds, from frame index from (an I-frame boundary; nonzero for a
+// resumed session). A nil track is a ModeRaw session; a non-nil ladder
+// is an adaptive one.
 //
 // The returned byte count is the bytes actually written to w, success
 // or failure: the counting wrapper is read exactly once, after the
 // body finishes, and the same figure feeds the bytesSent counter — a
 // mid-stream failure can neither double-count nor under-report what
 // reached the wire.
-func sendVariant(ctx context.Context, w io.Writer, src core.Source, track *annotation.Track, v *variant, levelsChunk []byte, from int, framesSent, bytesSent *obs.Counter) (uint64, error) {
-	sp := obs.StartSpan(ctx, "stream.send")
+func send(ctx context.Context, w io.Writer, src core.Source, track *annotation.Track, v *variant, levelsChunk []byte, from int, lad *ladder, framesSent, bytesSent *obs.Counter) (uint64, error) {
+	spanName := "stream.send"
+	if lad != nil {
+		spanName = "stream.send_adaptive"
+	}
+	sp := obs.StartSpan(ctx, spanName)
 	defer sp.End()
 	cw0 := &countingWriter{w: w}
 	err := func() error {
@@ -731,38 +707,74 @@ func sendVariant(ctx context.Context, w io.Writer, src core.Source, track *annot
 		if err != nil {
 			return err
 		}
-		return sendWire(ctx, cw, v, from, len(v.frames), framesSent)
+		if lad != nil {
+			if err := lad.open(cw, len(track.Quality)-1); err != nil {
+				return err
+			}
+		}
+		for i, n := from, len(v.frames); i < n; {
+			// A fixed session is one zero-copy run (each run of a
+			// file-backed variant opens its artifact file). An adaptive
+			// one serves the current rung up to the next I-frame, the
+			// only place a rung change may land: a P-frame from a
+			// different variant would reference a reconstruction the
+			// client does not have.
+			j := n
+			if lad != nil {
+				j = i + 1
+				for j < n && v.frames[j].Type != codec.IFrame {
+					j++
+				}
+			}
+			if err := sendWire(ctx, cw, v, i, j, framesSent); err != nil {
+				return err
+			}
+			i = j
+			if lad != nil && i < n {
+				if v, err = lad.swap(ctx, cw, v, i); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
 	}()
 	bytesSent.Add(cw0.n)
 	sp.SetAttrInt("bytes", int64(cw0.n))
+	if lad != nil {
+		sp.SetAttrInt("start_rung", int64(lad.rung))
+		if err == nil {
+			sp.SetAttrInt("final_rung", int64(lad.cur))
+		}
+		sp.SetAttrInt("quality_switches", int64(len(lad.switches)))
+	}
 	return cw0.n, err
 }
 
-// newVariantWriter writes the container header of an annotated session
-// that serves variant v from frame index from — the track, the
-// variant's decode-cycle and scene-byte side channels, the resume
-// offset when resuming and the device level table when one was
-// negotiated — and returns the writer for its frames. FrameCount counts
-// real frames, so it holds across adaptive rung switches. The header is
+// newVariantWriter writes the container header of a session that
+// serves variant v from frame index from and returns the writer for
+// its frames. A ModeRaw session (nil track) gets the bare header. An
+// annotated one adds the track, the variant's decode-cycle and
+// scene-byte side channels, the resume offset when resuming and the
+// device level table when one was negotiated. FrameCount counts real
+// frames, so it holds across adaptive rung switches. The header is
 // built here rather than returned so its chunk map stays off the heap.
 func newVariantWriter(w io.Writer, src core.Source, track *annotation.Track, v *variant, levelsChunk []byte, from int) (*container.Writer, error) {
 	width, height := src.Size()
-	extra := map[uint8][]byte{
-		container.ChunkDecodeCycles: v.cyclesChunk,
-		container.ChunkSceneBytes:   v.scenesChunk,
+	hdr := container.Header{W: width, H: height, FPS: src.FPS(), FrameCount: len(v.frames) - from}
+	if track != nil {
+		hdr.Annotations = track
+		hdr.Extra = map[uint8][]byte{
+			container.ChunkDecodeCycles: v.cyclesChunk,
+			container.ChunkSceneBytes:   v.scenesChunk,
+		}
+		if from > 0 {
+			hdr.Extra[container.ChunkResumeOffset] = container.EncodeResumeOffset(uint32(from))
+		}
+		if levelsChunk != nil {
+			hdr.Extra[container.ChunkDeviceLevels] = levelsChunk
+		}
 	}
-	if from > 0 {
-		extra[container.ChunkResumeOffset] = container.EncodeResumeOffset(uint32(from))
-	}
-	if levelsChunk != nil {
-		extra[container.ChunkDeviceLevels] = levelsChunk
-	}
-	return container.NewWriter(w, container.Header{
-		W: width, H: height, FPS: src.FPS(),
-		FrameCount:  len(v.frames) - from,
-		Annotations: track,
-		Extra:       extra,
-	})
+	return container.NewWriter(w, hdr)
 }
 
 // streamRaw sends the clip unannotated and uncompensated (ModeRaw, what
@@ -770,23 +782,14 @@ func newVariantWriter(w io.Writer, src core.Source, track *annotation.Track, v *
 // tier: the first fetch pays one encode and writes through to the
 // store, every later fetch streams the cached wire bytes zero-copy
 // instead of re-encoding the clip. A proxy encodes its decoded copy.
+// The whole clip is always sent (the request's StartFrame is ignored),
+// and a failed encode sends no error frame: the fetching proxy sees a
+// broken stream and fails over.
 func (n *nodeCore) streamRaw(ctx context.Context, w io.Writer, c nodeClip) error {
-	cw0 := &countingWriter{w: w}
-	defer func() {
-		n.sm.bytesSent.Add(cw0.n)
-	}()
-	src := c.src
-	cfg := n.enc.withDefaults(src.FPS())
-	v, err := rawVariantFor(ctx, n.tierFor(c.name), c.digest, src, cfg)
+	v, err := variantFor(ctx, n.tierFor(c.name), c.digest, c.src, nil, -1, n.enc.withDefaults(c.src.FPS()))
 	if err != nil {
 		return err
 	}
-	width, height := src.Size()
-	cw, err := container.NewWriter(cw0, container.Header{
-		W: width, H: height, FPS: src.FPS(), FrameCount: src.TotalFrames(),
-	})
-	if err != nil {
-		return err
-	}
-	return sendWire(ctx, cw, v, 0, len(v.frames), n.sm.framesSent)
+	_, err = send(ctx, w, c.src, nil, v, nil, 0, nil, n.sm.framesSent, n.sm.bytesSent)
+	return err
 }

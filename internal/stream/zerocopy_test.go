@@ -118,7 +118,7 @@ func TestSendVariantMatchesReferenceWriter(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			want := referenceContainerBytes(t, annotatedHeader(src, track, v, tc.levels, tc.from), v.frames[tc.from:])
 			var got bytes.Buffer
-			sent, err := sendVariant(context.Background(), &got, src, track, v, tc.levels, tc.from, nil, nil)
+			sent, err := send(context.Background(), &got, src, track, v, tc.levels, tc.from, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,47 +136,67 @@ func TestSendVariantMatchesReferenceWriter(t *testing.T) {
 // went through the artifact serialisation — first from its in-memory
 // aliased wire, then from the artifact file on disk (the sendfile
 // path), then with a dangling file ref (fallback) — and requires all
-// three to equal the reference writer's bytes.
+// three to equal the reference writer's bytes, for an annotated
+// variant and for a raw one.
 func TestSendVariantStoreRoundTripMatchesReference(t *testing.T) {
-	src, track, v, _, _ := buildServingFixture(t)
-	want := referenceContainerBytes(t, annotatedHeader(src, track, v, nil, 0), v.frames)
-
-	art, err := encodeVariantArtifact(v)
+	src, track, v, cfg, _ := buildServingFixture(t)
+	raw, err := prepareVariant(context.Background(), src, nil, -1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dv, err := decodeVariantArtifact(art)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		track *annotation.Track
+		v     *variant
+		want  []byte
+	}{
+		{"annotated", track, v, referenceContainerBytes(t, annotatedHeader(src, track, v, nil, 0), v.frames)},
+		// A decoded raw variant carries empty but non-nil side-channel
+		// slices; its header must stay the bare raw one.
+		{"raw", nil, raw, rawReferenceBytes(t, src, cfg)},
 	}
-	serve := func(t *testing.T, v *variant) []byte {
-		t.Helper()
-		var got bytes.Buffer
-		if _, err := sendVariant(context.Background(), &got, src, track, v, nil, 0, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		return got.Bytes()
-	}
-	if got := serve(t, dv); !bytes.Equal(got, want) {
-		t.Fatal("store round-tripped variant served different bytes")
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			art, err := encodeVariantArtifact(tc.v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dv, err := decodeVariantArtifact(art)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serve := func(t *testing.T, v *variant) []byte {
+				t.Helper()
+				var got bytes.Buffer
+				if _, err := send(context.Background(), &got, src, tc.track, v, nil, 0, nil, nil, nil); err != nil {
+					t.Fatal(err)
+				}
+				return got.Bytes()
+			}
+			if got := serve(t, dv); !bytes.Equal(got, tc.want) {
+				t.Fatal("store round-tripped variant served different bytes")
+			}
 
-	// File-backed: the wire region sits variantWirePrefix bytes into the
-	// artifact; serving must stream it from the file bit-identically.
-	path := filepath.Join(t.TempDir(), "variant.art")
-	if err := os.WriteFile(path, art, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	dv.ref = wireFileRef{path: path, off: variantWirePrefix, n: int64(len(dv.wire))}
-	if got := serve(t, dv); !bytes.Equal(got, want) {
-		t.Fatal("file-backed variant served different bytes")
-	}
+			// File-backed: the wire region sits variantWirePrefix bytes
+			// into the artifact; serving must stream it from the file
+			// bit-identically.
+			path := filepath.Join(t.TempDir(), "variant.art")
+			if err := os.WriteFile(path, art, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			dv.ref = wireFileRef{path: path, off: variantWirePrefix, n: int64(len(dv.wire))}
+			if got := serve(t, dv); !bytes.Equal(got, tc.want) {
+				t.Fatal("file-backed variant served different bytes")
+			}
 
-	// A vanished artifact file (evicted store entry) must fall back to
-	// the in-memory wire before any byte is written, not fail the session.
-	dv.ref.path = filepath.Join(t.TempDir(), "gone.art")
-	if got := serve(t, dv); !bytes.Equal(got, want) {
-		t.Fatal("fallback after missing artifact file served different bytes")
+			// A vanished artifact file (evicted store entry) must fall
+			// back to the in-memory wire before any byte is written, not
+			// fail the session.
+			dv.ref.path = filepath.Join(t.TempDir(), "gone.art")
+			if got := serve(t, dv); !bytes.Equal(got, tc.want) {
+				t.Fatal("fallback after missing artifact file served different bytes")
+			}
+		})
 	}
 }
 
@@ -197,9 +217,9 @@ func TestSendAdaptiveMatchesReferenceWriter(t *testing.T) {
 		close(done)
 	}()
 	getVariant := func(context.Context, int) (*variant, error) { return v, nil }
-	reg := obs.NewRegistry()
-	sent, switches, err := sendAdaptive(context.Background(), dc, src, track, v, getVariant, nil, 0, qi,
-		reg, "server", nil, nil)
+	lad := &ladder{ctrl: srvEnd, rung: qi, variant: getVariant, metrics: newLadderMetrics(obs.NewRegistry(), "server")}
+	sent, err := send(context.Background(), dc, src, track, v, nil, 0, lad, nil, nil)
+	switches := lad.switches
 	srvEnd.Close()
 	<-done
 	if err != nil {
@@ -318,44 +338,69 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 	return k, nil
 }
 
-// TestSendVariantReportsBytesOnFailure pins the sent/error contract:
-// whatever the failure point — inside the header, on a packet
-// boundary, mid-packet — the returned count is exactly the bytes the
-// connection accepted, and the bytesSent counter moves by exactly that
-// amount (no double counting, no zero-on-error).
+// TestSendVariantReportsBytesOnFailure pins the sent/error contract
+// for every session shape — fixed, raw and adaptive: whatever the
+// failure point — inside the header, on a packet boundary, mid-packet —
+// the returned count is exactly the bytes the connection accepted, and
+// the bytesSent counter moves by exactly that amount (no double
+// counting, no zero-on-error).
 func TestSendVariantReportsBytesOnFailure(t *testing.T) {
-	src, track, v, _, _ := buildServingFixture(t)
-	total := len(referenceContainerBytes(t, annotatedHeader(src, track, v, nil, 0), v.frames))
-	limits := []int{0, 3, 40, int(v.offs[0]), total - len(v.wire) + int(v.offs[1]) + 3, total - 1}
-	for _, limit := range limits {
-		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
-			reg := obs.NewRegistry()
-			bytesSent := reg.Counter("test_bytes_sent", "bytes")
-			framesSent := reg.Counter("test_frames_sent", "frames")
-			w := &failAfterWriter{limit: limit}
-			sent, err := sendVariant(context.Background(), w, src, track, v, nil, 0, framesSent, bytesSent)
-			if err == nil {
-				t.Fatal("send over a failing connection reported success")
-			}
-			if !errors.Is(err, errWireDown) {
-				t.Fatalf("err = %v, want wrapped errWireDown", err)
-			}
-			if sent != uint64(w.n) {
-				t.Errorf("sent = %d, connection accepted %d bytes", sent, w.n)
-			}
-			if got := bytesSent.Value(); got != sent {
-				t.Errorf("bytesSent counter = %d, sendVariant returned %d", got, sent)
-			}
-		})
+	src, track, v, cfg, qi := buildServingFixture(t)
+	raw, err := prepareVariant(context.Background(), src, nil, -1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marker := []*codec.EncodedFrame{qualitySwitchMarker(qi)}
+	shapes := []struct {
+		prefix   string // the fixed shape keeps the bare limit=N names
+		track    *annotation.Track
+		v        *variant
+		adaptive bool
+		total    int
+	}{
+		{"", track, v, false, len(referenceContainerBytes(t, annotatedHeader(src, track, v, nil, 0), v.frames))},
+		{"raw/", nil, raw, false, len(rawReferenceBytes(t, src, cfg))},
+		{"adaptive/", track, v, true, len(referenceContainerBytes(t, annotatedHeader(src, track, v, nil, 0), append(marker, v.frames...)))},
+	}
+	for _, sh := range shapes {
+		limits := []int{0, 3, 40, int(sh.v.offs[0]), sh.total - len(sh.v.wire) + int(sh.v.offs[1]) + 3, sh.total - 1}
+		for _, limit := range limits {
+			t.Run(fmt.Sprintf("%slimit=%d", sh.prefix, limit), func(t *testing.T) {
+				reg := obs.NewRegistry()
+				bytesSent := reg.Counter("test_bytes_sent", "bytes")
+				framesSent := reg.Counter("test_frames_sent", "frames")
+				var lad *ladder
+				if sh.adaptive {
+					ctrl, peer := net.Pipe()
+					defer ctrl.Close()
+					defer peer.Close()
+					getVariant := func(context.Context, int) (*variant, error) { return v, nil }
+					lad = &ladder{ctrl: ctrl, rung: qi, variant: getVariant, metrics: newLadderMetrics(reg, "server")}
+				}
+				w := &failAfterWriter{limit: limit}
+				sent, err := send(context.Background(), w, src, sh.track, sh.v, nil, 0, lad, framesSent, bytesSent)
+				if err == nil {
+					t.Fatal("send over a failing connection reported success")
+				}
+				if !errors.Is(err, errWireDown) {
+					t.Fatalf("err = %v, want wrapped errWireDown", err)
+				}
+				if sent != uint64(w.n) {
+					t.Errorf("sent = %d, connection accepted %d bytes", sent, w.n)
+				}
+				if got := bytesSent.Value(); got != sent {
+					t.Errorf("bytesSent counter = %d, send returned %d", got, sent)
+				}
+			})
+		}
 	}
 }
 
 // TestWarmServeZeroAllocsPerFrame is the AllocsPerRun gate on the warm
 // path. sendWire — the only per-frame code on a warm hit, shared by
-// the server and proxy serve paths (sendVariant, sendAdaptive,
-// streamRaw) — must allocate nothing at all; everything sendVariant
-// adds on top is per-session header work, so allocations cannot scale
-// with frame count.
+// every session shape send serves (fixed, adaptive and raw) — must
+// allocate nothing at all; everything send adds on top is per-session
+// header work, so allocations cannot scale with frame count.
 func TestWarmServeZeroAllocsPerFrame(t *testing.T) {
 	src, track, v, _, _ := buildServingFixture(t)
 	sink := &countingWriter{w: io.Discard}
@@ -389,7 +434,7 @@ func TestWarmServeZeroAllocsPerFrame(t *testing.T) {
 	}
 	session := func(from int) float64 {
 		return testing.AllocsPerRun(50, func() {
-			if _, err := sendVariant(ctx, io.Discard, src, track, v, nil, from, nil, nil); err != nil {
+			if _, err := send(ctx, io.Discard, src, track, v, nil, from, nil, nil, nil); err != nil {
 				sendErr = err
 			}
 		})
@@ -406,9 +451,9 @@ func TestWarmServeZeroAllocsPerFrame(t *testing.T) {
 }
 
 // BenchmarkWarmServe measures the warm serving path end to end at the
-// session level: a prepared (cached) variant streamed through
-// sendVariant. Reported frames/s is the per-core serving throughput
-// the benchmark-regression gate tracks against BENCH_serving.json.
+// session level: a prepared (cached) variant streamed through send.
+// Reported frames/s is the per-core serving throughput the
+// benchmark-regression gate tracks against BENCH_serving.json.
 func BenchmarkWarmServe(b *testing.B) {
 	src, track, v, _, _ := buildServingFixture(b)
 	ctx := context.Background()
@@ -416,7 +461,7 @@ func BenchmarkWarmServe(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sent, err := sendVariant(ctx, io.Discard, src, track, v, nil, 0, nil, nil)
+		sent, err := send(ctx, io.Discard, src, track, v, nil, 0, nil, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
