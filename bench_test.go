@@ -346,6 +346,8 @@ func BenchmarkEncodeFrame(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
 
+// BenchmarkDecodeFrame decodes one 160×120 I-frame per op through
+// Decode, which allocates the frame it returns.
 func BenchmarkDecodeFrame(b *testing.B) {
 	f := benchFrame()
 	enc, _ := codec.NewEncoder(f.W, f.H, 1, 4)
@@ -361,6 +363,40 @@ func BenchmarkDecodeFrame(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+}
+
+// BenchmarkDecodeSequence decodes a moving 64×48 two-scene clip at GOP 8,
+// one frame per op, into one reused frame: the shape of a streaming
+// client's playback, mostly P-frames.
+func BenchmarkDecodeSequence(b *testing.B) {
+	c := video.MustNew("bench-decode", 64, 48, 8, 3, []video.SceneSpec{
+		{Frames: 8, BaseLuma: 0.3, LumaSpread: 0.12, MaxLuma: 0.78, HighlightFrac: 0.02, Chroma: 0.45, Motion: 1},
+		{Frames: 8, BaseLuma: 0.6, LumaSpread: 0.15, MaxLuma: 0.97, HighlightFrac: 0.04, Chroma: 0.45, Motion: 1},
+	})
+	enc, err := codec.NewEncoder(c.W, c.H, c.FPS, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The clip length is a multiple of the GOP, so every pass over it
+	// starts with an I-frame.
+	efs := make([]*codec.EncodedFrame, c.TotalFrames())
+	for i := range efs {
+		if efs[i], err = enc.Encode(c.Frame(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	dec, _ := codec.NewDecoder(c.W, c.H)
+	dst := frame.New(c.W, c.H)
+	b.ReportAllocs()
+	b.SetBytes(int64(c.W * c.H * 3))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := dec.DecodeInto(efs[i%len(efs)], dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
 
 func BenchmarkCompensateFrame(b *testing.B) {

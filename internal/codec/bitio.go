@@ -1,8 +1,10 @@
 package codec
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrBitstream is returned when a decoder reads past the end of, or finds
@@ -70,6 +72,11 @@ func (w *BitWriter) Bytes() []byte {
 func (w *BitWriter) BitLen() int { return len(w.buf)*8 + int(w.bits) }
 
 // BitReader consumes bits MSB-first from a byte slice.
+//
+// ReadBits and ReadUE take a whole value from one 64-bit window when it
+// lies inside the data, and otherwise fall back to reading bit by bit,
+// so every error comes out at the same input and bit position as a
+// purely bitwise reader's.
 type BitReader struct {
 	data []byte
 	pos  int // bit position
@@ -77,6 +84,20 @@ type BitReader struct {
 
 // NewBitReader wraps data for reading.
 func NewBitReader(data []byte) *BitReader { return &BitReader{data: data} }
+
+// window returns the 64 bits from the read position on, MSB first and
+// zero past the end of the data, and how many of them are data.
+func (r *BitReader) window() (uint64, int) {
+	i, sh := r.pos>>3, r.pos&7
+	if i+8 <= len(r.data) {
+		return binary.BigEndian.Uint64(r.data[i:]) << sh, 64 - sh
+	}
+	var w uint64
+	for k, b := range r.data[i:] {
+		w |= uint64(b) << (56 - 8*k)
+	}
+	return w << sh, len(r.data)*8 - r.pos
+}
 
 // ReadBit returns the next bit.
 func (r *BitReader) ReadBit() (uint, error) {
@@ -90,6 +111,10 @@ func (r *BitReader) ReadBit() (uint, error) {
 
 // ReadBits returns the next n bits as an unsigned value. n must be <= 32.
 func (r *BitReader) ReadBits(n int) (uint32, error) {
+	if w, avail := r.window(); uint(n) <= 32 && n <= avail {
+		r.pos += n
+		return uint32(w >> (64 - n)), nil
+	}
 	var v uint32
 	for i := 0; i < n; i++ {
 		b, err := r.ReadBit()
@@ -103,6 +128,14 @@ func (r *BitReader) ReadBits(n int) (uint32, error) {
 
 // ReadUE decodes an unsigned Exp-Golomb value.
 func (r *BitReader) ReadUE() (uint32, error) {
+	w, avail := r.window()
+	if n := bits.LeadingZeros64(w); 2*n+1 <= avail {
+		// The top 2n+1 bits are n zeros, a one and n suffix bits:
+		// read as a number, that is 1<<n + suffix. 2n+1 <= 64 keeps
+		// n <= 31, so it fits in 32 bits.
+		r.pos += 2*n + 1
+		return uint32(w>>(63-2*n)) - 1, nil
+	}
 	n := 0
 	for {
 		b, err := r.ReadBit()

@@ -119,7 +119,14 @@ func (e *Encoder) Encode(f *frame.Frame) (*EncodedFrame, error) {
 // Decoder decompresses a frame sequence produced by Encoder.
 type Decoder struct {
 	W, H int
-	ref  *Picture
+	// ref is the last decoded picture. The next one is decoded into
+	// spare, and the two swap only when that decode succeeds, so a
+	// failed decode leaves ref as it was. Every sample of spare is
+	// rewritten, as in the encoder's reconstruction.
+	ref, spare *Picture
+	// refPad holds ref's Y, Cb and Cr planes edge-padded for motion
+	// compensation.
+	refPad [3]padded
 }
 
 // NewDecoder returns a decoder for w×h frames.
@@ -130,37 +137,58 @@ func NewDecoder(w, h int) (*Decoder, error) {
 	return &Decoder{W: w, H: h}, nil
 }
 
-// Decode decompresses the next frame.
+// Decode decompresses the next frame into a new frame.
 func (d *Decoder) Decode(ef *EncodedFrame) (*frame.Frame, error) {
+	f := frame.New(d.W, d.H)
+	if err := d.DecodeInto(ef, f); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// DecodeInto decompresses the next frame into dst, which must be
+// W×H. Once the decoder is warm it allocates nothing. On error dst is
+// left as it was.
+func (d *Decoder) DecodeInto(ef *EncodedFrame, dst *frame.Frame) error {
+	if dst.W != d.W || dst.H != d.H {
+		return fmt.Errorf("codec: frame %dx%d does not match decoder %dx%d", dst.W, dst.H, d.W, d.H)
+	}
 	q := ef.QScale
 	if q < MinQScale || q > MaxQScale {
-		return nil, fmt.Errorf("%w: qscale %d", ErrBitstream, q)
+		return fmt.Errorf("%w: qscale %d", ErrBitstream, q)
 	}
-	r := NewBitReader(ef.Data)
-	pic := NewPicture(d.W, d.H)
+	r := BitReader{data: ef.Data}
+	pic := d.spare
+	if pic == nil {
+		pic = NewPicture(d.W, d.H)
+	}
 	switch ef.Type {
 	case IFrame:
-		if err := decodeIntraPlane(r, pic.Y, q); err != nil {
-			return nil, err
+		if err := decodeIntraPlane(&r, pic.Y, q); err != nil {
+			return err
 		}
-		if err := decodeIntraPlane(r, pic.Cb, q); err != nil {
-			return nil, err
+		if err := decodeIntraPlane(&r, pic.Cb, q); err != nil {
+			return err
 		}
-		if err := decodeIntraPlane(r, pic.Cr, q); err != nil {
-			return nil, err
+		if err := decodeIntraPlane(&r, pic.Cr, q); err != nil {
+			return err
 		}
 	case PFrame:
 		if d.ref == nil {
-			return nil, fmt.Errorf("%w: P frame with no reference", ErrBitstream)
+			return fmt.Errorf("%w: P frame with no reference", ErrBitstream)
 		}
-		if err := decodePredicted(r, pic, d.ref, q); err != nil {
-			return nil, err
+		for i, p := range [3]*Plane{d.ref.Y, d.ref.Cb, d.ref.Cr} {
+			d.refPad[i].load(p)
+		}
+		if err := decodePredicted(&r, pic, d.ref, &d.refPad, q); err != nil {
+			return err
 		}
 	default:
-		return nil, fmt.Errorf("%w: unknown frame type %d", ErrBitstream, ef.Type)
+		return fmt.Errorf("%w: unknown frame type %d", ErrBitstream, ef.Type)
 	}
-	d.ref = pic
-	return pic.ToFrame(), nil
+	d.ref, d.spare = pic, d.ref
+	pic.toFrameInto(dst)
+	return nil
 }
 
 // --- intra coding ---
@@ -197,11 +225,18 @@ func decodeIntraPlane(r *BitReader, dst *Plane, qscale int) error {
 	prevDC := int32(0)
 	for by := 0; by < dst.H; by += BlockSize {
 		for bx := 0; bx < dst.W; bx += BlockSize {
-			if err := readBlock(r, &levels); err != nil {
+			n, err := readBlock(r, &levels)
+			if err != nil {
 				return err
 			}
 			levels[0] += prevDC
 			prevDC = levels[0]
+			if n <= 1 {
+				// Only the DC level: a flat block.
+				dc := float64(levels[0]) * divisors(true, qscale)[0]
+				fillBlock(dst, bx, by, clampSample(idctFlat(dc)+128))
+				continue
+			}
 			dequantize(&levels, &coef, true, qscale)
 			IDCT(&coef, &blk)
 			storeBlock(dst, bx, by, &blk, 128)
@@ -231,6 +266,32 @@ func halfPelSample(p *Plane, hx, hy int) int {
 	default:
 		return (int(p.At(x, y)) + int(p.At(x+1, y)) +
 			int(p.At(x, y+1)) + int(p.At(x+1, y+1)) + 2) / 4
+	}
+}
+
+// halfPelRow predicts len(p) consecutive samples as halfPelSample does,
+// with its four averaging cases written out per row: r0 is the reference
+// row the vector lands on and r1 the row below, both from the first
+// sample read on.
+func halfPelRow(p []int, r0, r1 []uint8, fx, fy int) {
+	r0, r1 = r0[:len(p)+1], r1[:len(p)+1]
+	switch {
+	case fx == 0 && fy == 0:
+		for x := range p {
+			p[x] = int(r0[x])
+		}
+	case fy == 0:
+		for x := range p {
+			p[x] = (int(r0[x]) + int(r0[x+1]) + 1) / 2
+		}
+	case fx == 0:
+		for x := range p {
+			p[x] = (int(r0[x]) + int(r1[x]) + 1) / 2
+		}
+	default:
+		for x := range p {
+			p[x] = (int(r0[x]) + int(r0[x+1]) + int(r1[x]) + int(r1[x+1]) + 2) / 4
+		}
 	}
 }
 
@@ -269,7 +330,9 @@ func encodePredicted(w *BitWriter, cur, ref, rec *Picture, s *searcher, qscale i
 	}
 }
 
-func decodePredicted(r *BitReader, pic, ref *Picture, qscale int) error {
+// decodePredicted decodes a P-frame into pic from ref, whose planes
+// refPad holds edge-padded.
+func decodePredicted(r *BitReader, pic, ref *Picture, refPad *[3]padded, qscale int) error {
 	for my := 0; my < pic.Y.H; my += MBSize {
 		for mx := 0; mx < pic.Y.W; mx += MBSize {
 			skip, err := r.ReadBit()
@@ -288,51 +351,51 @@ func decodePredicted(r *BitReader, pic, ref *Picture, qscale int) error {
 			if err != nil {
 				return err
 			}
+			// The bound keeps every prediction read, luma and chroma,
+			// inside the padded planes' margin.
 			if abs32(mvx) > 2*SearchRange+1 || abs32(mvy) > 2*SearchRange+1 {
 				return fmt.Errorf("%w: motion vector (%d,%d) out of range", ErrBitstream, mvx, mvy)
 			}
 			for dy := 0; dy < MBSize; dy += BlockSize {
 				for dx := 0; dx < MBSize; dx += BlockSize {
-					if err := decodeResidualBlock(r, pic.Y, ref.Y,
+					if err := decodeResidualBlock(r, pic.Y, &refPad[0],
 						mx+dx, my+dy, int(mvx), int(mvy), qscale); err != nil {
 						return err
 					}
 				}
 			}
-			if err := decodeResidualBlock(r, pic.Cb, ref.Cb,
-				mx/2, my/2, int(mvx)/2, int(mvy)/2, qscale); err != nil {
-				return err
-			}
-			if err := decodeResidualBlock(r, pic.Cr, ref.Cr,
-				mx/2, my/2, int(mvx)/2, int(mvy)/2, qscale); err != nil {
-				return err
+			for i, p := range [2]*Plane{pic.Cb, pic.Cr} {
+				if err := decodeResidualBlock(r, p, &refPad[1+i],
+					mx/2, my/2, int(mvx)/2, int(mvy)/2, qscale); err != nil {
+					return err
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// padMargin is the edge extension of the search planes on every side. A
+// padMargin is the edge extension of padded planes on every side. A
 // half-pel vector reads at most SearchRange+1 samples past the
 // macroblock, bilinear neighbour included; the last sample is slack.
 const padMargin = SearchRange + 2
 
-// searcher runs the P-frame motion search over edge-padded copies of
-// the current and reference luma. The padding replicates each plane's
-// edge samples outward, which is exactly what Plane.At's clamping
-// returns, so every candidate (including those reaching past the frame)
-// reads plain rows, and every SAD equals the clamped one.
-type searcher struct {
-	stride   int
-	cur, ref []uint8
+// padded is a plane copied with its edge samples replicated outward,
+// which is exactly what Plane.At's clamping returns, so reads reaching
+// up to padMargin samples past the plane are plain slice reads.
+type padded struct {
+	stride int
+	pix    []uint8
 }
 
-// load fills the padded planes from cur and ref, which share dimensions.
-func (s *searcher) load(cur, ref *Plane) {
-	s.stride = cur.W + 2*padMargin + MBSize
-	s.cur = padPlane(s.cur, cur, s.stride)
-	s.ref = padPlane(s.ref, ref, s.stride)
+// load fills p from src, reusing p's buffer when large enough.
+func (p *padded) load(src *Plane) {
+	p.stride = src.W + 2*padMargin + MBSize
+	p.pix = padPlane(p.pix, src, p.stride)
 }
+
+// at returns the offset of sample (x, y) in p.pix.
+func (p *padded) at(x, y int) int { return (y+padMargin)*p.stride + x + padMargin }
 
 // padPlane copies p into dst (reused when large enough) with padMargin
 // samples of edge extension on every side, plus one macroblock more on
@@ -359,14 +422,25 @@ func padPlane(dst []uint8, p *Plane, stride int) []uint8 {
 	return dst
 }
 
-// at returns the offset of sample (x, y) in the padded planes.
-func (s *searcher) at(x, y int) int { return (y+padMargin)*s.stride + x + padMargin }
+// searcher runs the P-frame motion search over padded copies of the
+// current and reference luma, so every candidate (including those
+// reaching past the frame) reads plain rows, and every SAD equals the
+// clamped one.
+type searcher struct {
+	cur, ref padded
+}
+
+// load fills the padded planes from cur and ref, which share dimensions.
+func (s *searcher) load(cur, ref *Plane) {
+	s.cur.load(cur)
+	s.ref.load(ref)
+}
 
 // zeroSAD is the luma SAD of the macroblock at (mx, my) against the
 // co-located reference macroblock.
 func (s *searcher) zeroSAD(mx, my int) int {
-	o := s.at(mx, my)
-	return sadFull(s.cur, s.ref, o, o, s.stride, 0, math.MaxInt)
+	o := s.cur.at(mx, my)
+	return sadFull(s.cur.pix, s.ref.pix, o, o, s.cur.stride, 0, math.MaxInt)
 }
 
 // search finds the motion vector minimising luma SAD at (mx,my): an
@@ -376,7 +450,8 @@ func (s *searcher) zeroSAD(mx, my int) int {
 // one stops as soon as it reaches the best so far without changing the
 // outcome. It returns the best half-pel vector.
 func (s *searcher) search(mx, my, zero int) motionVector {
-	co := s.at(mx, my)
+	co := s.cur.at(mx, my)
+	stride := s.cur.stride
 	bestFull := motionVector{}
 	bestSAD := zero
 	for vy := -SearchRange; vy <= SearchRange; vy++ {
@@ -386,7 +461,7 @@ func (s *searcher) search(mx, my, zero int) motionVector {
 			}
 			// Bias toward shorter vectors to stabilise the field.
 			bias := 4 * (absInt(vx) + absInt(vy))
-			if sad := sadFull(s.cur, s.ref, co, co+vy*s.stride+vx, s.stride, bias, bestSAD); sad < bestSAD {
+			if sad := sadFull(s.cur.pix, s.ref.pix, co, co+vy*stride+vx, stride, bias, bestSAD); sad < bestSAD {
 				bestSAD = sad
 				bestFull = motionVector{vx, vy}
 			}
@@ -454,36 +529,16 @@ func absDiffLanes(a, b uint64) uint64 {
 }
 
 // sadHalf is sadFull, with no bias, for the macroblock at offset co and
-// half-pel vector hv. It predicts as halfPelSample does, with that
-// function's four averaging cases written out per row.
+// half-pel vector hv.
 func (s *searcher) sadHalf(co int, hv motionVector, limit int) int {
-	stride := s.stride
+	stride := s.cur.stride
 	ro := co + (hv.Y>>1)*stride + hv.X>>1
 	fx, fy := hv.X&1, hv.Y&1
 	sad := 0
 	for y := 0; y < MBSize; y++ {
-		c := (*[MBSize]uint8)(s.cur[co : co+MBSize])
-		r0 := (*[MBSize + 1]uint8)(s.ref[ro : ro+MBSize+1])
-		r1 := (*[MBSize + 1]uint8)(s.ref[ro+stride : ro+stride+MBSize+1])
+		c := (*[MBSize]uint8)(s.cur.pix[co : co+MBSize])
 		var p [MBSize]int
-		switch {
-		case fx == 0 && fy == 0:
-			for x := range p {
-				p[x] = int(r0[x])
-			}
-		case fy == 0:
-			for x := range p {
-				p[x] = (int(r0[x]) + int(r0[x+1]) + 1) / 2
-			}
-		case fx == 0:
-			for x := range p {
-				p[x] = (int(r0[x]) + int(r1[x]) + 1) / 2
-			}
-		default:
-			for x := range p {
-				p[x] = (int(r0[x]) + int(r0[x+1]) + int(r1[x]) + int(r1[x+1]) + 2) / 4
-			}
-		}
+		halfPelRow(p[:], s.ref.pix[ro:], s.ref.pix[ro+stride:], fx, fy)
 		for x := range p {
 			d := int(c[x]) - p[x]
 			if d < 0 {
@@ -507,20 +562,13 @@ func copyMB(dst, ref *Picture, mx, my int) {
 	copyTile(dst.Cr, ref.Cr, mx/2, my/2, MBSize/2)
 }
 
-// copyTile copies an n×n tile at (x0, y0), row-wise via copy for interior
-// tiles and through the clamping accessors at plane edges.
+// copyTile copies the in-bounds part of the n×n tile at (x0, y0) of
+// ref, which has dst's dimensions, into dst.
 func copyTile(dst, ref *Plane, x0, y0, n int) {
-	if x0 >= 0 && y0 >= 0 && x0+n <= dst.W && y0+n <= dst.H && dst.W == ref.W && dst.H == ref.H {
-		for y := 0; y < n; y++ {
-			o := (y0+y)*dst.W + x0
-			copy(dst.Pix[o:o+n], ref.Pix[o:o+n])
-		}
-		return
-	}
-	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			dst.Set(x0+x, y0+y, ref.At(x0+x, y0+y))
-		}
+	w := min(n, dst.W-x0)
+	for y := y0; y < min(y0+n, dst.H); y++ {
+		o := y*dst.W + x0
+		copy(dst.Pix[o:o+w], ref.Pix[o:o+w])
 	}
 }
 
@@ -548,21 +596,53 @@ func codeResidualBlock(w *BitWriter, cur, ref, rec *Plane, bx, by, hvx, hvy, qsc
 	}
 }
 
-func decodeResidualBlock(r *BitReader, dst, ref *Plane, bx, by, hvx, hvy, qscale int) error {
-	var res, coef Block
+// decodeResidualBlock decodes the 8×8 block at (bx, by) of dst: its
+// prediction from ref at half-pel vector (hvx, hvy) plus the coded
+// residual. A block with no coded level adds nothing: the IDCT of zeros
+// is ±0, and clampSample(float64(pred)±0) is pred.
+func decodeResidualBlock(r *BitReader, dst *Plane, ref *padded, bx, by, hvx, hvy, qscale int) error {
 	var levels [BlockSize * BlockSize]int32
-	if err := readBlock(r, &levels); err != nil {
+	n, err := readBlock(r, &levels)
+	if err != nil {
 		return err
 	}
-	dequantize(&levels, &coef, false, qscale)
-	IDCT(&coef, &res)
-	for y := 0; y < BlockSize; y++ {
-		for x := 0; x < BlockSize; x++ {
-			pred := halfPelSample(ref, 2*(bx+x)+hvx, 2*(by+y)+hvy)
-			dst.Set(bx+x, by+y, clampSample(float64(pred)+res[y*BlockSize+x]))
-		}
+	if n == 0 {
+		predictBlock(dst, ref, bx, by, hvx, hvy, nil)
+		return nil
 	}
+	var res Block
+	dequantize(&levels, &res, false, qscale)
+	IDCT(&res, &res)
+	predictBlock(dst, ref, bx, by, hvx, hvy, &res)
 	return nil
+}
+
+// predictBlock writes the in-bounds part of the 8×8 block at (bx, by) of
+// dst: the half-pel prediction from ref at vector (hvx, hvy), plus res
+// when it is not nil. The vector must keep reads within ref's padding.
+func predictBlock(dst *Plane, ref *padded, bx, by, hvx, hvy int, res *Block) {
+	w, h := min(BlockSize, dst.W-bx), min(BlockSize, dst.H-by)
+	if w <= 0 || h <= 0 {
+		return
+	}
+	ro := ref.at(bx+(hvx>>1), by+(hvy>>1))
+	fx, fy := hvx&1, hvy&1
+	var p [BlockSize]int
+	for y := 0; y < h; y++ {
+		halfPelRow(p[:], ref.pix[ro:], ref.pix[ro+ref.stride:], fx, fy)
+		out := dst.Pix[(by+y)*dst.W+bx:][:w]
+		if res == nil {
+			for x := range out {
+				out[x] = uint8(p[x])
+			}
+		} else {
+			rr := res.row(y)
+			for x := range out {
+				out[x] = clampSample(float64(p[x]) + rr[x])
+			}
+		}
+		ro += ref.stride
+	}
 }
 
 // --- block entropy coding ---
@@ -588,33 +668,33 @@ func writeBlock(w *BitWriter, levels *[BlockSize * BlockSize]int32) {
 	w.WriteUE(eobMarker)
 }
 
-// readBlock parses one block written by writeBlock.
-func readBlock(r *BitReader, levels *[BlockSize * BlockSize]int32) error {
-	for i := range levels {
-		levels[i] = 0
-	}
+// readBlock parses one block written by writeBlock. It returns the
+// length of the zig-zag scan the block codes: every level from scan
+// position n on is zero, and n is 0 for a block with no coded level.
+func readBlock(r *BitReader, levels *[BlockSize * BlockSize]int32) (n int, err error) {
+	*levels = [BlockSize * BlockSize]int32{}
 	pos := 0
 	for {
 		run, err := r.ReadUE()
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if run == eobMarker {
-			return nil
+			return pos, nil
 		}
 		if run > eobMarker {
-			return fmt.Errorf("%w: invalid run %d", ErrBitstream, run)
+			return 0, fmt.Errorf("%w: invalid run %d", ErrBitstream, run)
 		}
 		pos += int(run)
 		if pos >= len(levels) {
-			return fmt.Errorf("%w: run overflows block", ErrBitstream)
+			return 0, fmt.Errorf("%w: run overflows block", ErrBitstream)
 		}
 		v, err := r.ReadSE()
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if v == 0 {
-			return fmt.Errorf("%w: zero level", ErrBitstream)
+			return 0, fmt.Errorf("%w: zero level", ErrBitstream)
 		}
 		levels[ZigZag[pos]] = v
 		pos++
@@ -657,6 +737,17 @@ func storeBlock(p *Plane, bx, by int, blk *Block, bias float64) {
 	for y := 0; y < BlockSize; y++ {
 		for x := 0; x < BlockSize; x++ {
 			p.Set(bx+x, by+y, clampSample(blk[y*BlockSize+x]+bias))
+		}
+	}
+}
+
+// fillBlock sets the in-bounds part of the 8×8 block at (bx, by) to v.
+func fillBlock(p *Plane, bx, by int, v uint8) {
+	w := min(BlockSize, p.W-bx)
+	for y := by; y < min(by+BlockSize, p.H); y++ {
+		row := p.Pix[y*p.W+bx:][:w]
+		for x := range row {
+			row[x] = v
 		}
 	}
 }

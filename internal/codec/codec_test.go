@@ -60,6 +60,28 @@ func TestDCTDCOfFlatBlock(t *testing.T) {
 	}
 }
 
+// TestIDCTFlat checks idctFlat against IDCT for DC-only blocks over the
+// dequantised DC range of real streams and at the int32 extremes a
+// corrupt one can reach. == treats +0 and -0 as equal, which is all the
+// decoder needs: it adds a bias to each output before rounding.
+func TestIDCTFlat(t *testing.T) {
+	levels := []int32{math.MinInt32, math.MaxInt32}
+	for l := int32(-2048); l <= 2048; l++ {
+		levels = append(levels, l)
+	}
+	for _, l := range levels {
+		var coef, out Block
+		coef[0] = float64(l) * divisors(true, MinQScale)[0]
+		IDCT(&coef, &out)
+		want := idctFlat(coef[0])
+		for i, v := range out {
+			if v != want {
+				t.Fatalf("dc %v: IDCT sample %d = %v, idctFlat = %v", coef[0], i, v, want)
+			}
+		}
+	}
+}
+
 func TestDCTParseval(t *testing.T) {
 	var src, freq Block
 	for i := range src {
@@ -144,7 +166,7 @@ func TestBlockEntropyRoundTrip(t *testing.T) {
 	levels[63] = 1
 	w := &BitWriter{}
 	writeBlock(w, &levels)
-	if err := readBlock(NewBitReader(w.Bytes()), &got); err != nil {
+	if _, err := readBlock(NewBitReader(w.Bytes()), &got); err != nil {
 		t.Fatal(err)
 	}
 	if got != levels {
@@ -297,6 +319,51 @@ func TestDecoderErrors(t *testing.T) {
 	}
 	if _, err := dec.Decode(&EncodedFrame{Type: IFrame, QScale: 4, Data: []byte{0}}); err == nil {
 		t.Error("truncated I frame accepted")
+	}
+}
+
+// TestFailedDecodeKeepsReference feeds one decoder an I-frame, a P-frame
+// cut short so that it fails, then the intact P-frames, and another the
+// same stream without the failed frame: their output must be identical,
+// and the failed DecodeInto must leave its destination as it was.
+func TestFailedDecodeKeepsReference(t *testing.T) {
+	c := clip(t)
+	enc, _ := NewEncoder(c.W, c.H, 8, 4)
+	var frames []*EncodedFrame
+	for i := 0; i < 4; i++ {
+		ef, err := enc.Encode(c.Frame(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, ef)
+	}
+	if frames[1].Type != PFrame {
+		t.Fatalf("frame 1 is %v, want a P frame", frames[1].Type)
+	}
+	corrupt := &EncodedFrame{Type: PFrame, QScale: frames[1].QScale, Data: frames[1].Data[:len(frames[1].Data)/2]}
+
+	clean, _ := NewDecoder(c.W, c.H)
+	faulted, _ := NewDecoder(c.W, c.H)
+	want, got := frame.New(c.W, c.H), frame.New(c.W, c.H)
+	for i, ef := range frames {
+		if err := clean.DecodeInto(ef, want); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if i == 1 {
+			before := got.Clone()
+			if err := faulted.DecodeInto(corrupt, got); err == nil {
+				t.Fatal("truncated P frame decoded without error")
+			}
+			if !got.Equal(before) {
+				t.Error("failed DecodeInto wrote into its destination")
+			}
+		}
+		if err := faulted.DecodeInto(ef, got); err != nil {
+			t.Fatalf("frame %d after the failed decode: %v", i, err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("frame %d differs after a failed decode", i)
+		}
 	}
 }
 

@@ -98,6 +98,13 @@ func IDCT(src *Block, dst *Block) {
 	}
 }
 
+// idctFlat is every output of IDCT for a block whose only nonzero
+// coefficient is the DC coefficient dc, up to the sign of a zero. Each
+// pass multiplies by the DC basis value, which is the same for every
+// sample; every other product it adds is ±0, which leaves a nonzero sum
+// as it is.
+func idctFlat(dc float64) float64 { return dc * dctBasis[0] * dctBasis[0] }
+
 // ZigZag is the coefficient scan order mapping scan position to block
 // index, identical to the JPEG/MPEG order.
 var ZigZag = buildZigZag()

@@ -116,17 +116,22 @@ func fromFrameInto(f *frame.Frame, pic *Picture) {
 // (chroma is replicated over each 2×2 quad).
 func (pic *Picture) ToFrame() *frame.Frame {
 	f := frame.New(pic.Y.W, pic.Y.H)
+	pic.toFrameInto(f)
+	return f
+}
+
+// toFrameInto is ToFrame into f, which has the picture's size.
+func (pic *Picture) toFrameInto(f *frame.Frame) {
+	w, cw := f.W, pic.Cb.W
 	for y := 0; y < f.H; y++ {
-		for x := 0; x < f.W; x++ {
-			yc := pixel.YCbCr{
-				Y:  pic.Y.At(x, y),
-				Cb: pic.Cb.At(x/2, y/2),
-				Cr: pic.Cr.At(x/2, y/2),
-			}
-			f.Set(x, y, pixel.ToRGB(yc))
+		out := f.Pix[y*w : (y+1)*w]
+		luma := pic.Y.Pix[y*w : (y+1)*w]
+		co := y / 2 * cw
+		cb, cr := pic.Cb.Pix[co:co+cw], pic.Cr.Pix[co:co+cw]
+		for x := range out {
+			out[x] = pixel.ToRGB(pixel.YCbCr{Y: luma[x], Cb: cb[x/2], Cr: cr[x/2]})
 		}
 	}
-	return f
 }
 
 // Clone deep-copies the picture.

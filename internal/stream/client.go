@@ -141,7 +141,10 @@ func (c *countingReader) Read(p []byte) (int, error) {
 type Client struct {
 	Device *display.Profile
 	// OnFrame, when set, observes every decoded frame (examples use it).
-	// Across a resume, every frame index is observed exactly once.
+	// Across a resume, every frame index is observed exactly once. The
+	// client decodes every frame of a connection into the same f, so f
+	// is valid only until OnFrame returns; a caller that keeps a frame
+	// must Clone it.
 	OnFrame func(i int, f *frame.Frame, backlight int)
 	// Obs, when set, receives the client's online-path telemetry:
 	// per-frame decode latency spans, frames/bytes received counters,
@@ -403,6 +406,7 @@ func (c *Client) consume(ctx context.Context, s *session, rw io.ReadWriter, req 
 	if err != nil {
 		return err
 	}
+	f := frame.New(hdr.W, hdr.H)
 
 	degradedTotal := c.Obs.Counter("stream_client_degraded_total",
 		"Side channels dropped in favour of degraded playback.")
@@ -583,7 +587,7 @@ func (c *Client) consume(ctx context.Context, s *session, rw io.ReadWriter, req 
 			}
 		}
 		sp := c.Obs.StartSpan("client.decode")
-		f, err := dec.Decode(ef)
+		err = dec.DecodeInto(ef, f)
 		sp.End()
 		if err != nil {
 			return err
