@@ -9,29 +9,32 @@
 //	player -i rotk.avs [-device ipaq5555] [-quality 0.10] [-compensate]
 //	       [-battery 7.4] [-debug-addr :7402] [-log-level info]
 //
-// With -debug-addr the player serves its decode/backlight telemetry over
-// HTTP while playing (Prometheus /metrics, /healthz, /debug/pprof).
-// Playback feeds the per-session power ledger; the run ends with its
-// report ("power saved: NN.N%"), which integrates the same states as
-// the offline model and so agrees with the analytic figures exactly.
-// -log-level selects the threshold for the structured key=value events
-// (power_report at info, per-scene power_scene at debug).
+// The file plays through stream.Client.PlayContainer, a fixed streaming
+// session's playback loop without the WNIC, so rung, levels and report
+// match that session's; compensation and -dump-ppm run in its OnFrame.
+// With -debug-addr the player serves the client's telemetry over HTTP
+// while playing (Prometheus /metrics, /healthz, /debug/pprof). The run
+// ends with the ledger's report ("power saved: NN.N%"), which integrates
+// the same states as the offline model and so agrees with the analytic
+// figures exactly. -log-level selects the threshold for the structured
+// key=value events (power_report at info, per-scene power_scene at debug).
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
 	"repro/internal/annotation"
-	"repro/internal/codec"
 	"repro/internal/compensate"
 	"repro/internal/container"
 	"repro/internal/display"
+	"repro/internal/frame"
 	"repro/internal/obs"
 	"repro/internal/power"
+	"repro/internal/stream"
 )
 
 func main() {
@@ -93,122 +96,80 @@ func main() {
 	f, err := os.Open(*in)
 	exitOn(err)
 	defer f.Close()
-
 	r, err := container.NewReader(f)
 	exitOn(err)
 	hdr := r.Header()
-	dec, err := codec.NewDecoder(hdr.W, hdr.H)
-	exitOn(err)
-
-	model := power.DefaultModel(dev)
-	led := power.NewLedgerModel(model)
-	led.SetNetworkActive(false) // local file: no WNIC draw
-	frameSeconds := 1 / float64(hdr.FPS)
-
-	var cursor *annotation.Cursor
 	if hdr.AnnotationsErr != nil {
-		// Graceful degradation: a damaged annotation track must not
-		// stop playback — log once and keep the backlight at full.
 		fmt.Fprintf(os.Stderr, "player: annotation track damaged (%v); falling back to full backlight\n",
 			hdr.AnnotationsErr)
 	}
-	if hdr.Annotations != nil {
+
+	// Compensation brightens each frame in place by 1/target; frames past
+	// the track's end play at full backlight and stay as decoded.
+	var cursor *annotation.Cursor
+	tracked := 0
+	if *doCompensate && hdr.Annotations != nil {
 		cursor = hdr.Annotations.NewCursor(hdr.Annotations.QualityIndex(*quality))
+		tracked = hdr.Annotations.TotalFrames()
 	}
-
-	framesDecoded := reg.Counter("player_frames_decoded_total",
-		"Frames decoded during playback.")
-	backlightGauge := reg.Gauge("player_backlight_level",
-		"Backlight level currently set (0..255).")
-
-	level := display.MaxLevel
-	target := 1.0
-	frames, scenes := 0, 0
 	var clippedSum float64
-	for {
-		ef, err := r.ReadFrame()
-		if err == io.EOF {
-			break
-		}
-		exitOn(err)
-		sp := reg.StartSpan("player.decode")
-		fr, err := dec.Decode(ef)
-		sp.End()
-		exitOn(err)
+	client := &stream.Client{Device: dev, Obs: reg}
+	client.OnFrame = func(i int, fr *frame.Frame, _ int) {
 		if cursor != nil {
-			t, sceneStart := cursor.Next()
-			if sceneStart {
-				target = t
-				level = dev.LevelFor(target)
-				backlightGauge.Set(float64(level))
-				led.StartScene(scenes, level)
-				scenes++
+			if target, _ := cursor.Next(); i < tracked && target > 0 && target < 1 {
+				sp := reg.StartSpan("player.compensate")
+				plan := compensate.Plan{Target: target, K: 1 / target}
+				clippedSum += plan.ClippedFraction(fr)
+				plan.Apply(method, fr)
+				sp.End()
 			}
 		}
-		if *doCompensate && target > 0 && target < 1 {
-			sp := reg.StartSpan("player.compensate")
-			plan := compensate.Plan{Target: target, K: 1 / target}
-			clippedSum += plan.ClippedFraction(fr)
-			plan.Apply(method, fr)
-			sp.End()
-		}
-		framesDecoded.Inc()
 		if *dumpDir != "" {
-			out, err := os.Create(filepath.Join(*dumpDir, fmt.Sprintf("frame%05d.ppm", frames)))
+			out, err := os.Create(filepath.Join(*dumpDir, fmt.Sprintf("frame%05d.ppm", i)))
 			exitOn(err)
 			exitOn(fr.WritePPM(out))
 			exitOn(out.Close())
 		}
-		led.Frame(frameSeconds, level)
-		frames++
 	}
-	if frames == 0 {
-		fmt.Fprintln(os.Stderr, "player: empty stream")
-		os.Exit(1)
-	}
-	if hdr.AnnotationsErr != nil {
-		led.Degraded("annotations")
-	}
-	trace, ref := led.Traces()
+	res, err := client.PlayContainer(context.Background(), r, *quality)
+	exitOn(err)
 
-	daq := power.DefaultDAQ()
-	measured, err := daq.MeasuredSavings(model, ref, trace)
+	model := power.DefaultModel(dev)
+	measured, err := power.DefaultDAQ().MeasuredSavings(model, res.Reference, res.Trace)
 	exitOn(err)
 
 	if *traceOut != "" {
 		out, err := os.Create(*traceOut)
 		exitOn(err)
-		exitOn(model.WriteCSV(out, trace))
+		exitOn(model.WriteCSV(out, res.Trace))
 		exitOn(out.Close())
 	}
 
 	fmt.Printf("stream            %s: %d frames, %dx%d @ %d fps\n",
-		*in, frames, hdr.W, hdr.H, hdr.FPS)
+		*in, res.Frames, hdr.W, hdr.H, hdr.FPS)
 	switch {
 	case hdr.Annotations != nil:
 		fmt.Printf("annotations       %d scenes, %d bytes, quality %.0f%%\n",
-			len(hdr.Annotations.Records), hdr.Annotations.Size(),
+			res.Scenes, res.BytesAnn,
 			hdr.Annotations.Quality[hdr.Annotations.QualityIndex(*quality)]*100)
 	case hdr.AnnotationsErr != nil:
 		fmt.Printf("annotations       damaged, ignored (backlight stays at full)\n")
 	default:
 		fmt.Printf("annotations       none (backlight stays at full)\n")
 	}
-	rep := led.Report()
 	fmt.Printf("device            %s (%s panel, %s backlight)\n", dev.Name, dev.Panel, dev.Backlight)
-	fmt.Printf("avg backlight     %.1f / 255 (%d switches)\n", rep.AvgLevel, rep.Switches)
+	fmt.Printf("avg backlight     %.1f / 255 (%d switches)\n", res.AvgLevel, res.Switches)
 	if *doCompensate {
-		fmt.Printf("mean clipped      %.2f%% of pixels\n", 100*clippedSum/float64(frames))
+		fmt.Printf("mean clipped      %.2f%% of pixels\n", 100*clippedSum/float64(res.Frames))
 	}
-	fmt.Printf("backlight saving  %.1f%%\n", 100*model.BacklightSavings(ref, trace))
+	fmt.Printf("backlight saving  %.1f%%\n", 100*res.BacklightSavings)
 	fmt.Printf("total saving      %.1f%% analytic, %.1f%% DAQ-measured\n",
-		100*model.Savings(ref, trace), 100*measured)
+		100*res.TotalSavings, 100*measured)
 	fmt.Printf("battery life      %.2fh -> %.2fh on a %.1fWh pack\n",
-		model.BatteryLifeHours(ref, *battery), model.BatteryLifeHours(trace, *battery), *battery)
+		model.BatteryLifeHours(res.Reference, *battery), model.BatteryLifeHours(res.Trace, *battery), *battery)
 	fmt.Println()
-	fmt.Println(rep)
-	rep.Emit(logger)
-	rep.EmitMetrics(reg, "player")
+	fmt.Println(res.Ledger)
+	res.Ledger.Emit(logger)
 }
 
 func exitOn(err error) {

@@ -6,7 +6,7 @@ package repro_test
 
 import (
 	"bytes"
-	"io"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,12 +18,13 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/frame"
 	"repro/internal/scene"
+	"repro/internal/stream"
 	"repro/internal/video"
 )
 
 // TestFileRoundTripPlayback writes an annotated container to disk, reads
-// it back, decodes every frame, and replays the backlight schedule —
-// the cmd/annotate + cmd/player path as a library-level test.
+// it back and plays it through stream.Client.PlayContainer — the
+// cmd/annotate + cmd/player path as a library-level test.
 func TestFileRoundTripPlayback(t *testing.T) {
 	clip := video.ClipByName("themovie", video.LibraryOptions{
 		W: 48, H: 36, FPS: 8, DurationScale: 0.08,
@@ -63,7 +64,7 @@ func TestFileRoundTripPlayback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Read back and play.
+	// Read back and play through the client's playback loop.
 	in, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -73,38 +74,20 @@ func TestFileRoundTripPlayback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr := r.Header()
-	if hdr.Annotations == nil {
+	if r.Header().Annotations == nil {
 		t.Fatal("annotations lost in file round trip")
 	}
-	dec, err := codec.NewDecoder(hdr.W, hdr.H)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := display.IPAQ5555()
-	cursor := hdr.Annotations.NewCursor(hdr.Annotations.QualityIndex(0.10))
 	frames := 0
 	var psnrSum float64
-	level := display.MaxLevel
 	levels := map[int]bool{}
-	for {
-		ef, err := r.ReadFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := dec.Decode(ef)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if target, start := cursor.Next(); start {
-			level = dev.LevelFor(target)
-		}
+	client := &stream.Client{Device: display.IPAQ5555()}
+	client.OnFrame = func(i int, got *frame.Frame, level int) {
 		levels[level] = true
-		psnrSum += clip.Frame(frames).PSNR(got)
+		psnrSum += clip.Frame(i).PSNR(got)
 		frames++
+	}
+	if _, err := client.PlayContainer(context.Background(), r, 0.10); err != nil {
+		t.Fatal(err)
 	}
 	if frames != clip.TotalFrames() {
 		t.Fatalf("decoded %d frames, want %d", frames, clip.TotalFrames())

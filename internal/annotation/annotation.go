@@ -142,11 +142,14 @@ func (t *Track) TotalFrames() int {
 
 // QualityIndex returns the index of the closest offered quality level at
 // or below the requested budget (so a client never exceeds the quality
-// degradation it asked for).
+// degradation it asked for). Budgets compare in the 1/255 form Encode
+// stores, so a track and its decoded copy pick the same rung for any
+// budget: the one rung rule of server, client and player.
 func (t *Track) QualityIndex(budget float64) int {
+	k := math.Round(budget * 255)
 	best := 0
 	for i, q := range t.Quality {
-		if q <= budget+1e-12 {
+		if math.Round(q*255) <= k {
 			best = i
 		}
 	}

@@ -67,7 +67,7 @@ func TestQualityIndex(t *testing.T) {
 		budget float64
 		want   int
 	}{
-		{0, 0}, {0.03, 0}, {0.05, 1}, {0.07, 1}, {0.10, 2}, {0.20, 4}, {0.9, 4},
+		{0, 0}, {0.03, 0}, {0.05, 1}, {0.0499, 1}, {0.07, 1}, {0.10, 2}, {0.20, 4}, {0.9, 4},
 	}
 	for _, c := range cases {
 		if got := tr.QualityIndex(c.budget); got != c.want {

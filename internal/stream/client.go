@@ -69,6 +69,9 @@ type PlayResult struct {
 	// would have suffered during an adaptive session (0 when delivery
 	// always kept ahead of the playout clock).
 	MaxLagSeconds float64
+	// Trace and Reference are the ledger's session and full-backlight
+	// power traces (for a DAQ measurement or a CSV dump).
+	Trace, Reference *power.Trace
 	// Ledger is the session's power/QoS accounting: per-scene backlight
 	// levels, modeled energy vs the full-backlight baseline, wire
 	// bytes, rebuffer and degradation events. Its SavedPct agrees with
@@ -144,7 +147,9 @@ type Client struct {
 	// Across a resume, every frame index is observed exactly once. The
 	// client decodes every frame of a connection into the same f, so f
 	// is valid only until OnFrame returns; a caller that keeps a frame
-	// must Clone it.
+	// must Clone it. OnFrame may modify f in place (a player compensates
+	// it there): the decoder predicts from its own reference pictures,
+	// never from f.
 	OnFrame func(i int, f *frame.Frame, backlight int)
 	// Obs, when set, receives the client's online-path telemetry:
 	// per-frame decode latency spans, frames/bytes received counters,
@@ -180,17 +185,11 @@ func (c *Client) Play(addr, clip string, quality float64) (*PlayResult, error) {
 // failures by reconnecting with exponential backoff and resuming from
 // the last fully-decoded frame.
 func (c *Client) PlayContext(ctx context.Context, addr, clip string, quality float64) (*PlayResult, error) {
-	if c.Device == nil {
-		return nil, fmt.Errorf("stream: client has no device profile")
+	s, err := c.newSession(quality)
+	if err != nil {
+		return nil, err
 	}
 	retry := c.Retry.withDefaults()
-	s := &session{
-		res:     &PlayResult{},
-		level:   display.MaxLevel,
-		quality: quality,
-		ceilQi:  -1,
-		ledger:  power.NewLedger(c.Device),
-	}
 	retriesTotal := c.Obs.Counter("stream_client_retries_total",
 		"Reconnection attempts after a stream session failure.")
 	resumesTotal := c.Obs.Counter("stream_client_resumes_total",
@@ -218,13 +217,13 @@ func (c *Client) PlayContext(ctx context.Context, addr, clip string, quality flo
 				return nil, ctx.Err()
 			}
 		}
-		resumed, err := c.attempt(ctx, s, addr, clip)
+		resumed, err := c.attempt(ctx, &s, addr, clip)
 		if resumed {
 			s.res.Resumes++
 			resumesTotal.Inc()
 		}
 		if err == nil {
-			return c.finish(s)
+			return c.finish(&s)
 		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -235,6 +234,39 @@ func (c *Client) PlayContext(ctx context.Context, addr, clip string, quality flo
 		}
 	}
 	return nil, fmt.Errorf("stream: giving up after %d attempts: %w", retry.MaxAttempts, lastErr)
+}
+
+// PlayContainer plays a local container through the playback loop of a
+// fixed session: one attempt, no retry, no WNIC draw in the ledger. A
+// client with a Ladder is refused: a file has no server to switch rungs.
+func (c *Client) PlayContainer(ctx context.Context, r *container.Reader, quality float64) (*PlayResult, error) {
+	if c.Ladder != nil {
+		return nil, fmt.Errorf("stream: an adaptive client cannot play a file")
+	}
+	s, err := c.newSession(quality)
+	if err != nil {
+		return nil, err
+	}
+	s.ledger.SetNetworkActive(false)
+	if err := c.play(ctx, &s, r, nil, Request{Quality: quality}); err != nil {
+		return nil, err
+	}
+	return c.finish(&s)
+}
+
+// newSession returns the session by value, so a caller whose session
+// does not escape keeps it on its stack.
+func (c *Client) newSession(quality float64) (session, error) {
+	if c.Device == nil {
+		return session{}, fmt.Errorf("stream: client has no device profile")
+	}
+	return session{
+		res:     &PlayResult{},
+		level:   display.MaxLevel,
+		quality: quality,
+		ceilQi:  -1,
+		ledger:  power.NewLedger(c.Device),
+	}, nil
 }
 
 func (c *Client) backoffRNG() *rand.Rand {
@@ -373,19 +405,9 @@ func (c *Client) attempt(ctx context.Context, s *session, addr, clip string) (re
 	return req.StartFrame > 0, c.consume(ctx, s, conn, req)
 }
 
-// consume parses one connection's response stream and plays it: decode
-// each frame, set the backlight for its scene and account it, emitting
-// each clip frame exactly once even when the server replays from an
-// earlier I-frame boundary. A fixed session is this loop with the
-// quality ladder off. An adaptive session (req.Adaptive) also runs the
-// ladder control loop: a playout-buffer tracker fed by deliveries, a
-// decision at every scene boundary sent upstream as a quality-switch
-// message, and the server's in-band markers moving the rung (and with
-// it the backlight level column) mid-stream. The server is
-// authoritative: the client's rung follows markers, not its own
-// requests.
+// consume is the network half of one connection: response magic, the
+// container played through play, wire bytes and truncation.
 func (c *Client) consume(ctx context.Context, s *session, rw io.ReadWriter, req Request) error {
-	res := s.res
 	cr := &countingReader{r: rw}
 	magic, remoteErr, err := ReadResponseMagic(cr)
 	if err != nil {
@@ -401,6 +423,32 @@ func (c *Client) consume(ctx context.Context, s *session, rw io.ReadWriter, req 
 	if err != nil {
 		return classifyStreamErr(err)
 	}
+	if err := c.play(ctx, s, reader, rw, req); err != nil {
+		return err
+	}
+	s.res.BytesStream += cr.n
+	s.ledger.AddWireBytes(int64(cr.n))
+	c.Obs.Counter("client_bytes_received_total",
+		"Bytes received from the stream connection.").Add(uint64(cr.n))
+	if s.expected > 0 && s.emitted < s.expected {
+		return fmt.Errorf("%w: got %d of %d frames", ErrTruncatedStream, s.emitted, s.expected)
+	}
+	return nil
+}
+
+// play is the playback core over one container, from a connection or a
+// file (up nil): decode each frame, set the backlight for its scene and
+// account it, emitting each clip frame exactly once even when the server
+// replays from an earlier I-frame boundary. A fixed session is this loop
+// with the quality ladder off. An adaptive session (req.Adaptive) also
+// runs the ladder control loop: a playout-buffer tracker fed by
+// deliveries, a decision at every scene boundary sent up as a
+// quality-switch message, and the server's in-band markers moving the
+// rung (and with it the backlight level column) mid-stream. The server
+// is authoritative: the client's rung follows markers, not its own
+// requests.
+func (c *Client) play(ctx context.Context, s *session, reader *container.Reader, up io.Writer, req Request) error {
+	res := s.res
 	hdr := reader.Header()
 	dec, err := codec.NewDecoder(hdr.W, hdr.H)
 	if err != nil {
@@ -439,13 +487,13 @@ func (c *Client) consume(ctx context.Context, s *session, rw io.ReadWriter, req 
 		res.Annotated = true
 		res.Scenes = len(hdr.Annotations.Records)
 		res.BytesAnn = hdr.Annotations.Size()
-		// Each connection resends the track, so the overhead really
-		// crossed the wire again on a resume.
-		s.ledger.AddAnnotationBytes(int64(res.BytesAnn))
+		if up != nil { // each connection resends the track over the wire
+			s.ledger.AddAnnotationBytes(int64(res.BytesAnn))
+		}
 		s.qualities = hdr.Annotations.Quality
 		// This connection starts at the rung the request named — on an
 		// adaptive resume, the rung in force when the last one died.
-		s.curQi = rungFor(hdr.Annotations, req.Quality)
+		s.curQi = hdr.Annotations.QualityIndex(req.Quality)
 	}
 	// Device-specific level table from the server's negotiation, if sent
 	// (§4.3: levels "can be computed by either the server/proxy ... or by
@@ -598,7 +646,7 @@ func (c *Client) consume(ctx context.Context, s *session, rw io.ReadWriter, req 
 		fresh := g >= s.emitted
 		rec, sceneStart := walk.Next()
 		if sceneStart && fresh && s.lad != nil {
-			if err := c.decideRung(s, rw, g, total, frameSeconds); err != nil {
+			if err := c.decideRung(s, up, g, total, frameSeconds); err != nil {
 				return err
 			}
 		}
@@ -635,13 +683,6 @@ func (c *Client) consume(ctx context.Context, s *session, rw io.ReadWriter, req 
 		res.Frames++
 		s.emitted++
 		g++
-	}
-	res.BytesStream += cr.n
-	s.ledger.AddWireBytes(int64(cr.n))
-	c.Obs.Counter("client_bytes_received_total",
-		"Bytes received from the stream connection.").Add(uint64(cr.n))
-	if s.expected > 0 && s.emitted < s.expected {
-		return fmt.Errorf("%w: got %d of %d frames", ErrTruncatedStream, s.emitted, s.expected)
 	}
 	return nil
 }
@@ -721,9 +762,9 @@ func (c *Client) finish(s *session) (*PlayResult, error) {
 	// The savings fractions integrate the ledger's own traces, so they
 	// are bit-identical to what the offline model reports for them.
 	model := power.DefaultModel(c.Device)
-	got, ref := s.ledger.Traces()
-	res.BacklightSavings = model.BacklightSavings(ref, got)
-	res.TotalSavings = model.Savings(ref, got)
+	res.Trace, res.Reference = s.ledger.Traces()
+	res.BacklightSavings = model.BacklightSavings(res.Reference, res.Trace)
+	res.TotalSavings = model.Savings(res.Reference, res.Trace)
 	if c.Ladder != nil {
 		res.FinalRung = s.curQi
 		res.MaxLagSeconds = s.buf.MaxLagSeconds()

@@ -1,12 +1,16 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"net"
+	"reflect"
 	"slices"
 	"testing"
 
+	"repro/internal/adaptive"
 	"repro/internal/annotation"
+	"repro/internal/container"
 	"repro/internal/display"
 	"repro/internal/frame"
 )
@@ -164,10 +168,11 @@ func TestFixedSessionPlaysTrackWithoutQualities(t *testing.T) {
 	}
 }
 
-// TestRungForAgreesAcrossWire: the server picks a session's rung from
-// the exact quality column, the client from the column as the wire
-// carries it. For every budget, both must pick the same rung — the
-// level of a fixed session's backlight depends on it.
+// TestRungForAgreesAcrossWire: the server picks a session's rung with
+// QualityIndex on the exact quality column, the client and the player
+// on the column as the wire carries it. For every budget, both must
+// pick the same rung — the level of a fixed session's backlight depends
+// on it.
 func TestRungForAgreesAcrossWire(t *testing.T) {
 	_, exact, _, _, _ := buildServingFixture(t)
 	wire, err := annotation.Decode(exact.Encode())
@@ -176,13 +181,94 @@ func TestRungForAgreesAcrossWire(t *testing.T) {
 	}
 	for k := 0; k <= 255; k++ {
 		budget := float64(k) / 255
-		if s, c := rungFor(exact, budget), rungFor(wire, budget); s != c {
+		if s, c := exact.QualityIndex(budget), wire.QualityIndex(budget); s != c {
 			t.Errorf("budget %d/255: server rung %d, client rung %d", k, s, c)
 		}
 	}
 	for qi, q := range exact.Quality {
-		if got := rungFor(exact, q); got != qi {
-			t.Errorf("budget %v (level %d exactly) selects rung %d", q, qi, got)
+		for _, tr := range []*annotation.Track{exact, wire} {
+			if got := tr.QualityIndex(q); got != qi {
+				t.Errorf("budget %v (level %d exactly) selects rung %d", q, qi, got)
+			}
 		}
+	}
+}
+
+// TestOnFrameMayModifyFrame: OnFrame may write over the frame it is
+// handed (cmd/player compensates it in place). The decoder predicts
+// later frames from its own reference pictures, so a client that
+// overwrites every frame decodes the same later frames as one that
+// does not.
+func TestOnFrameMayModifyFrame(t *testing.T) {
+	_, track, _, _, _ := buildServingFixture(t)
+	addr, n := serveCraftedTrack(t, track, nil)
+	play := func(overwrite bool) []uint64 {
+		var digests []uint64
+		c := &Client{Device: display.IPAQ5555(), OnFrame: func(i int, f *frame.Frame, backlight int) {
+			digests = append(digests, frameDigest(f))
+			if overwrite {
+				for p := range f.Pix {
+					f.Pix[p].R, f.Pix[p].G, f.Pix[p].B = 255, 0, 255
+				}
+			}
+		}}
+		if _, err := c.Play(addr, "night", 0.10); err != nil {
+			t.Fatal(err)
+		}
+		return digests
+	}
+	want, got := play(false), play(true)
+	if len(want) != n || n < 2 {
+		t.Fatalf("played %d frames of %d", len(want), n)
+	}
+	assertSameDigests(t, want, got, "client overwriting every frame")
+}
+
+// TestPlayContainerMatchesFixedSession: a stream played from a local
+// container goes through the same playback loop as a fixed session of
+// it — same levels, same per-scene ledger — but its ledger draws no
+// radio power and counts nothing on the wire. An adaptive client is
+// refused.
+func TestPlayContainerMatchesFixedSession(t *testing.T) {
+	src, track, v, _, _ := buildServingFixture(t)
+	var file bytes.Buffer
+	if _, err := send(context.Background(), &file, src, track, v, nil, 0, nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	addr, _ := serveCraftedTrack(t, track, nil)
+	want, wantLevels := playLevels(t, addr, 0.10)
+
+	var levels []int
+	c := &Client{Device: display.IPAQ5555(), OnFrame: func(i int, f *frame.Frame, backlight int) {
+		levels = append(levels, backlight)
+	}}
+	open := func() *container.Reader {
+		r, err := container.NewReader(bytes.NewReader(file.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	got, err := c.PlayContainer(context.Background(), open(), 0.10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(levels, wantLevels) {
+		t.Errorf("file played levels %v, fixed session %v", levels, wantLevels)
+	}
+	if !reflect.DeepEqual(got.Ledger.Scenes, want.Ledger.Scenes) {
+		t.Errorf("file ledger scenes %v, fixed session %v", got.Ledger.Scenes, want.Ledger.Scenes)
+	}
+	if l := got.Ledger; l.WireBytes != 0 || l.AnnotationBytes != 0 || l.RadioActiveSeconds != 0 {
+		t.Errorf("file ledger has %d wire bytes, %d annotation bytes, %.2fs radio active; want none",
+			l.WireBytes, l.AnnotationBytes, l.RadioActiveSeconds)
+	}
+	if got.Trace == nil || got.Reference == nil || got.Trace.Duration() != got.Ledger.Seconds {
+		t.Error("result does not expose the ledger's traces")
+	}
+
+	c.Ladder = &adaptive.LadderConfig{}
+	if _, err := c.PlayContainer(context.Background(), open(), 0.10); err == nil {
+		t.Error("an adaptive client played a file")
 	}
 }

@@ -77,7 +77,7 @@ type ladder struct {
 
 // open starts the control reader and writes the opening marker that
 // announces the granted rung. The client derives the same rung from its
-// request (rungFor), but the announcement — like every later switch
+// request (Track.QualityIndex), but the announcement — like every later switch
 // marker — is authoritative.
 func (l *ladder) open(cw *container.Writer, maxRung int) error {
 	l.cur = l.rung

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/annotation"
 	"repro/internal/codec"
 	"repro/internal/container"
 	"repro/internal/obs"
@@ -99,26 +98,6 @@ var (
 // ReadResponseMagic maps it back to ErrOverCapacity.
 const overCapacityMsg = "over capacity"
 
-// wireQuality is a clipping budget in its wire form: 255ths, rounded
-// to nearest. Requests carry budgets this way and the annotation track
-// its quality column.
-func wireQuality(q float64) uint8 { return uint8(q*255 + 0.5) }
-
-// rungFor is the quality rung a budget selects on track: the last level
-// whose budget fits, compared in wire form. The server holds the exact
-// quality column and the client only its wire form; comparing both in
-// wire form is what makes the two sides pick the same rung.
-func rungFor(track *annotation.Track, budget float64) int {
-	k := wireQuality(budget)
-	best := 0
-	for i, q := range track.Quality {
-		if wireQuality(q) <= k {
-			best = i
-		}
-	}
-	return best
-}
-
 // WriteRequest serialises the negotiation request.
 func WriteRequest(w io.Writer, r Request) error {
 	if len(r.Clip) > 255 || len(r.Device) > 255 {
@@ -128,7 +107,8 @@ func WriteRequest(w io.Writer, r Request) error {
 		return fmt.Errorf("%w: quality %v outside [0,1]", ErrProtocol, r.Quality)
 	}
 	buf := append([]byte{}, reqMagic[:]...)
-	buf = append(buf, wireQuality(r.Quality), uint8(r.Mode), uint8(len(r.Clip)))
+	// The budget goes in 255ths, rounded as the track's quality column.
+	buf = append(buf, uint8(r.Quality*255+0.5), uint8(r.Mode), uint8(len(r.Clip)))
 	buf = append(buf, r.Clip...)
 	buf = append(buf, uint8(len(r.Device)))
 	buf = append(buf, r.Device...)

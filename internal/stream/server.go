@@ -354,7 +354,7 @@ func (n *nodeCore) serveAnnotated(ctx context.Context, conn *deadlineConn, req R
 	}
 	digest, src := c.digest, c.src
 	t := n.tierFor(c.name)
-	qi := rungFor(track, req.Quality)
+	qi := track.QualityIndex(req.Quality)
 	cfg := n.enc.withDefaults(src.FPS())
 	v, err := variantFor(ctx, t, digest, src, track, qi, cfg)
 	if err != nil {
