@@ -551,39 +551,6 @@ func BenchmarkApplicationCredits(b *testing.B) {
 	b.ReportMetric(last.ROITextClipped*100, "roi-text-clipped%")
 }
 
-func BenchmarkCameraResponseRecovery(b *testing.B) {
-	cam := camera.Default()
-	for i := 0; i < b.N; i++ {
-		if _, err := cam.Characterize(24, []float64{0.25, 0.5, 1, 2, 4}, camera.RecoverOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRateControl(b *testing.B) {
-	opt := benchOptions()
-	clip := video.ClipByName("officexp", opt.Library)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rc, err := codec.NewRateController(120_000, clip.FPS, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		enc, err := codec.NewEncoder(clip.W, clip.H, clip.FPS, rc.QScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := 0; j < clip.TotalFrames(); j++ {
-			enc.SetQScale(rc.QScale())
-			ef, err := enc.Encode(clip.Frame(j))
-			if err != nil {
-				b.Fatal(err)
-			}
-			rc.Observe(ef)
-		}
-	}
-}
-
 func BenchmarkQualityMetrics(b *testing.B) {
 	opt := benchOptions()
 	var rows []experiments.QualityRow

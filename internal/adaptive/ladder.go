@@ -127,9 +127,6 @@ func NewLadder(track *annotation.Track, cfg LadderConfig) (*Ladder, error) {
 	return l, nil
 }
 
-// Rung returns the rung currently in force.
-func (l *Ladder) Rung() int { return l.cur }
-
 // Config returns the controller's effective configuration, defaults
 // applied — callers gate their sampling on the same thresholds.
 func (l *Ladder) Config() LadderConfig { return l.cfg }

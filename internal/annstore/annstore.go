@@ -658,9 +658,6 @@ func (s *Store) Keys() []Key {
 	return keys
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // OpenReport returns what the Open-time scan found.
 func (s *Store) OpenReport() Report {
 	s.mu.Lock()

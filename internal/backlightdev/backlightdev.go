@@ -1,15 +1,9 @@
 // Package backlightdev models the hardware backlight interface the
 // paper's player drives through the Familiar Linux backlight driver: the
-// kernel exposes a small number of discrete brightness steps (not the
-// 0..255 software scale), and well-behaved drivers ramp between levels
-// over a few frames instead of popping, because an abrupt large jump is
-// exactly the flicker the paper's minimum-scene-interval threshold exists
-// to avoid.
-//
-// The device sits between the annotation-driven controller (which asks
-// for 0..255 levels) and the display power model (which consumes the
-// level actually set), so experiments can quantify what hardware step
-// quantisation and ramping cost relative to the ideal continuous control.
+// kernel exposes a small number of discrete brightness steps, not the
+// 0..255 software scale. A requested level is rounded up to the next step,
+// so a scene is never under-lit, and the hardware-steps ablation measures
+// the power that rounding costs against ideal continuous control.
 package backlightdev
 
 import (
@@ -24,31 +18,14 @@ type Device struct {
 	// 0..255 levels are rounded UP to the next step so a scene is never
 	// under-lit by quantisation.
 	Steps int
-	// RampPerUpdate caps how far the output may move per Set call (in
-	// 0..255 units). 0 disables ramping (immediate jumps).
-	RampPerUpdate int
-
-	current int // current output level, 0..255 scale
-	pending int // level the driver is ramping towards
-	sets    int // Set calls
-	moves   int // updates where the output changed
 }
 
-// New returns a driver with the given hardware resolution, starting at
-// full brightness.
-func New(steps, rampPerUpdate int) (*Device, error) {
+// New returns a driver with the given hardware resolution.
+func New(steps int) (*Device, error) {
 	if steps < 2 || steps > 256 {
 		return nil, fmt.Errorf("backlightdev: %d steps outside [2,256]", steps)
 	}
-	if rampPerUpdate < 0 {
-		return nil, fmt.Errorf("backlightdev: negative ramp")
-	}
-	return &Device{
-		Steps:         steps,
-		RampPerUpdate: rampPerUpdate,
-		current:       display.MaxLevel,
-		pending:       display.MaxLevel,
-	}, nil
+	return &Device{Steps: steps}, nil
 }
 
 // Quantize returns the hardware level (0..255 scale) the driver would use
@@ -70,49 +47,6 @@ func (d *Device) Quantize(level int) int {
 	}
 	return int(float64(idx)*stepSize + 0.5)
 }
-
-// Set requests a new target level. The driver quantises it and, when
-// ramping is enabled, walks the output towards it by at most
-// RampPerUpdate per call. It returns the level actually output after this
-// update — what the panel (and the power model) sees this frame.
-func (d *Device) Set(level int) int {
-	d.sets++
-	d.pending = d.Quantize(level)
-	return d.step()
-}
-
-// Tick advances one update period without a new request, continuing any
-// ramp in progress (called once per frame by the player).
-func (d *Device) Tick() int { return d.step() }
-
-func (d *Device) step() int {
-	if d.current == d.pending {
-		return d.current
-	}
-	next := d.pending
-	if d.RampPerUpdate > 0 {
-		if diff := d.pending - d.current; diff > d.RampPerUpdate {
-			next = d.current + d.RampPerUpdate
-		} else if diff < -d.RampPerUpdate {
-			next = d.current - d.RampPerUpdate
-		}
-	}
-	if next != d.current {
-		d.moves++
-	}
-	d.current = next
-	return d.current
-}
-
-// Level returns the current output level.
-func (d *Device) Level() int { return d.current }
-
-// Settled reports whether the output has reached the last requested level.
-func (d *Device) Settled() bool { return d.current == d.pending }
-
-// Moves returns how many updates changed the output (flicker accounting at
-// the hardware interface).
-func (d *Device) Moves() int { return d.moves }
 
 // QuantizationLoss measures the backlight power wasted by hardware
 // quantisation for a level schedule on a device profile: requested levels

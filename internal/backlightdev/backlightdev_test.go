@@ -2,32 +2,24 @@ package backlightdev
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/display"
 )
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(1, 0); err == nil {
+	if _, err := New(1); err == nil {
 		t.Error("1 step accepted")
 	}
-	if _, err := New(300, 0); err == nil {
+	if _, err := New(300); err == nil {
 		t.Error("300 steps accepted")
 	}
-	if _, err := New(16, -1); err == nil {
-		t.Error("negative ramp accepted")
-	}
-	d, err := New(16, 0)
-	if err != nil {
+	if _, err := New(16); err != nil {
 		t.Fatal(err)
-	}
-	if d.Level() != display.MaxLevel {
-		t.Errorf("initial level = %d, want full", d.Level())
 	}
 }
 
 func TestQuantizeRoundsUp(t *testing.T) {
-	d, _ := New(16, 0) // steps at 0, 17, 34, ...
+	d, _ := New(16) // steps at 0, 17, 34, ...
 	cases := []struct{ in, wantMin int }{
 		{0, 0}, {1, 1}, {17, 17}, {18, 18}, {255, 255}, {300, 255}, {-5, 0},
 	}
@@ -51,7 +43,7 @@ func TestQuantizeRoundsUp(t *testing.T) {
 }
 
 func TestQuantize256StepsIsIdentity(t *testing.T) {
-	d, _ := New(256, 0)
+	d, _ := New(256)
 	for level := 0; level <= 255; level++ {
 		if got := d.Quantize(level); got != level {
 			t.Fatalf("Quantize(%d) = %d with 256 steps", level, got)
@@ -59,70 +51,10 @@ func TestQuantize256StepsIsIdentity(t *testing.T) {
 	}
 }
 
-func TestSetImmediateWithoutRamp(t *testing.T) {
-	d, _ := New(256, 0)
-	if got := d.Set(40); got != 40 {
-		t.Errorf("Set(40) output %d", got)
-	}
-	if !d.Settled() {
-		t.Error("not settled after immediate set")
-	}
-}
-
-func TestRampWalksTowardsTarget(t *testing.T) {
-	d, _ := New(256, 50) // start at 255
-	out := d.Set(55)     // long way down
-	if out != 205 {
-		t.Errorf("first update output %d, want 205", out)
-	}
-	steps := 1
-	for !d.Settled() {
-		d.Tick()
-		steps++
-		if steps > 10 {
-			t.Fatal("ramp never settled")
-		}
-	}
-	if d.Level() != 55 {
-		t.Errorf("settled at %d, want 55", d.Level())
-	}
-	if steps != 4 {
-		t.Errorf("ramp took %d updates, want 4 (200/50)", steps)
-	}
-}
-
-func TestRampUpwards(t *testing.T) {
-	d, _ := New(256, 64)
-	d.Set(0)
-	for !d.Settled() {
-		d.Tick()
-	}
-	d.Set(255)
-	updates := 1
-	for !d.Settled() {
-		d.Tick()
-		updates++
-	}
-	if updates != 4 { // 255/64 -> 4 updates
-		t.Errorf("upward ramp took %d updates", updates)
-	}
-}
-
-func TestMovesCountsChanges(t *testing.T) {
-	d, _ := New(256, 0)
-	d.Set(100)
-	d.Set(100)
-	d.Tick()
-	d.Set(50)
-	if d.Moves() != 2 {
-		t.Errorf("Moves = %d, want 2", d.Moves())
-	}
-}
-
 func TestQuantizationLoss(t *testing.T) {
 	dev := display.IPAQ5555()
-	coarse, _ := New(4, 0)
-	fine, _ := New(64, 0)
+	coarse, _ := New(4)
+	fine, _ := New(64)
 	levels := []int{40, 80, 120, 160, 200}
 	cont, qCoarse := QuantizationLoss(dev, coarse, levels, 10)
 	_, qFine := QuantizationLoss(dev, fine, levels, 10)
@@ -134,38 +66,5 @@ func TestQuantizationLoss(t *testing.T) {
 	}
 	if c, q := QuantizationLoss(dev, fine, levels, 0); c != 0 || q != 0 {
 		t.Error("fps=0 not treated as empty")
-	}
-}
-
-// Property: output never under-lights the (quantised) request once
-// settled, and the ramp moves monotonically towards the target.
-func TestRampMonotoneProperty(t *testing.T) {
-	f := func(startRaw, targetRaw, rampRaw uint8) bool {
-		d, err := New(64, int(rampRaw)%100)
-		if err != nil {
-			return false
-		}
-		d.Set(int(startRaw))
-		for i := 0; i < 40 && !d.Settled(); i++ {
-			d.Tick()
-		}
-		start := d.Level()
-		target := d.Quantize(int(targetRaw))
-		d.Set(int(targetRaw))
-		prev := start
-		for i := 0; i < 300 && !d.Settled(); i++ {
-			cur := d.Tick()
-			if target > start && cur < prev {
-				return false
-			}
-			if target < start && cur > prev {
-				return false
-			}
-			prev = cur
-		}
-		return d.Level() == target
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

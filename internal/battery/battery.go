@@ -2,9 +2,8 @@
 // exists to extend (§1: "battery life still remains a major limitation of
 // portable devices"). It provides a lithium-ion pack model with a
 // Peukert-style rate correction — high discharge rates yield less usable
-// capacity — and a discharge simulation that turns playback power traces
-// into minutes of video per charge, the user-visible quantity behind the
-// savings percentages.
+// capacity — that turns playback power traces into minutes of video per
+// charge, the user-visible quantity behind the savings percentages.
 package battery
 
 import (
@@ -82,54 +81,4 @@ func (p *Pack) PlaybackMinutes(m *power.Model, t *power.Trace) float64 {
 		return math.Inf(1)
 	}
 	return p.HoursAt(avg) * 60
-}
-
-// Extension compares two playback traces (reference at full backlight,
-// optimised with annotations) and returns the playback minutes of each
-// plus the relative runtime extension.
-func (p *Pack) Extension(m *power.Model, ref, opt *power.Trace) (refMin, optMin, gain float64) {
-	refMin = p.PlaybackMinutes(m, ref)
-	optMin = p.PlaybackMinutes(m, opt)
-	if refMin > 0 && !math.IsInf(refMin, 1) {
-		gain = optMin/refMin - 1
-	}
-	return refMin, optMin, gain
-}
-
-// Discharge simulates draining the pack while repeating the trace,
-// sampling state of charge at the trace granularity. It returns the total
-// runtime in hours and the state-of-charge series (one point per trace
-// repetition, descending from 1).
-func (p *Pack) Discharge(m *power.Model, t *power.Trace) (hours float64, soc []float64, err error) {
-	if err := p.Validate(); err != nil {
-		return 0, nil, err
-	}
-	dur := t.Duration()
-	if dur <= 0 {
-		return 0, nil, fmt.Errorf("battery: empty trace")
-	}
-	avg := m.AveragePower(t)
-	// Usable energy is rate-corrected once for the trace's average draw;
-	// within a repetition the segments drain proportionally to power.
-	usable := p.EffectiveWattHours(avg) * 3600 // joules
-	perLoop := m.Energy(t)
-	if perLoop <= 0 {
-		return math.Inf(1), []float64{1}, nil
-	}
-	remaining := usable
-	state := 1.0
-	soc = append(soc, state)
-	const maxLoops = 1 << 20
-	for loops := 0; remaining > 0 && loops < maxLoops; loops++ {
-		if perLoop >= remaining {
-			hours += remaining / perLoop * dur / 3600
-			soc = append(soc, 0)
-			return hours, soc, nil
-		}
-		remaining -= perLoop
-		state = remaining / usable
-		hours += dur / 3600
-		soc = append(soc, state)
-	}
-	return hours, soc, nil
 }

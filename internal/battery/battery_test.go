@@ -83,53 +83,6 @@ func TestPlaybackMinutesImproveWithDimming(t *testing.T) {
 	}
 }
 
-func TestExtension(t *testing.T) {
-	p := pack()
-	m := power.DefaultModel(display.IPAQ5555())
-	ref, opt, gain := p.Extension(m, trace(255), trace(60))
-	if ref <= 0 || opt <= ref {
-		t.Fatalf("extension: ref %v, opt %v", ref, opt)
-	}
-	if math.Abs(gain-(opt/ref-1)) > 1e-12 {
-		t.Errorf("gain = %v inconsistent", gain)
-	}
-}
-
-func TestDischargeAgreesWithHoursAt(t *testing.T) {
-	p := pack()
-	m := power.DefaultModel(display.IPAQ5555())
-	tr := trace(128)
-	hours, soc, err := p.Discharge(m, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := p.HoursAt(m.AveragePower(tr))
-	if math.Abs(hours-want)/want > 0.01 {
-		t.Errorf("discharge %v h vs HoursAt %v h", hours, want)
-	}
-	if len(soc) < 2 || soc[0] != 1 || soc[len(soc)-1] != 0 {
-		t.Errorf("soc series endpoints: %v ... %v", soc[0], soc[len(soc)-1])
-	}
-	for i := 1; i < len(soc); i++ {
-		if soc[i] > soc[i-1]+1e-12 {
-			t.Fatal("state of charge increased")
-		}
-	}
-}
-
-func TestDischargeValidation(t *testing.T) {
-	p := pack()
-	m := power.DefaultModel(display.IPAQ5555())
-	if _, _, err := p.Discharge(m, &power.Trace{}); err == nil {
-		t.Error("empty trace accepted")
-	}
-	bad := pack()
-	bad.CapacitymAh = 0
-	if _, _, err := bad.Discharge(m, trace(100)); err == nil {
-		t.Error("invalid pack accepted")
-	}
-}
-
 // Property: runtime decreases monotonically with load.
 func TestHoursMonotoneProperty(t *testing.T) {
 	p := pack()

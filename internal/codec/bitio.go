@@ -68,9 +68,6 @@ func (w *BitWriter) Bytes() []byte {
 	return w.buf
 }
 
-// BitLen returns the number of bits written so far.
-func (w *BitWriter) BitLen() int { return len(w.buf)*8 + int(w.bits) }
-
 // BitReader consumes bits MSB-first from a byte slice.
 //
 // ReadBits and ReadUE take a whole value from one 64-bit window when it

@@ -52,13 +52,6 @@ func (p *Plane) Set(x, y int, v uint8) {
 	p.Pix[y*p.W+x] = v
 }
 
-// Clone deep-copies the plane.
-func (p *Plane) Clone() *Plane {
-	q := &Plane{W: p.W, H: p.H, Pix: make([]uint8, len(p.Pix))}
-	copy(q.Pix, p.Pix)
-	return q
-}
-
 // Picture is a YCbCr 4:2:0 image: full-resolution luma, half-resolution
 // chroma in both dimensions.
 type Picture struct {
@@ -132,11 +125,6 @@ func (pic *Picture) toFrameInto(f *frame.Frame) {
 			out[x] = pixel.ToRGB(pixel.YCbCr{Y: luma[x], Cb: cb[x/2], Cr: cr[x/2]})
 		}
 	}
-}
-
-// Clone deep-copies the picture.
-func (pic *Picture) Clone() *Picture {
-	return &Picture{Y: pic.Y.Clone(), Cb: pic.Cb.Clone(), Cr: pic.Cr.Clone()}
 }
 
 // validateDims checks encoder/decoder dimension agreement.

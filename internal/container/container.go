@@ -95,6 +95,10 @@ type Header struct {
 	// retry the fetch (the stream client) instead of erroring out.
 	// Never set by Writer; only populated by NewReader.
 	AnnotationsErr error
+	// AnnotationsLen is the ChunkLuminance payload length as read from
+	// the wire, so a reader counts annotation bytes without encoding the
+	// track again. Only populated by NewReader.
+	AnnotationsLen int
 	// Extra holds additional side-channel chunks by kind (decode cycles,
 	// scene bytes, future types). ChunkLuminance must not appear here.
 	Extra map[uint8][]byte
@@ -102,8 +106,7 @@ type Header struct {
 
 // Writer serialises a stream.
 type Writer struct {
-	w      io.Writer
-	frames int
+	w io.Writer
 }
 
 // NewWriter writes the header and returns a Writer for the frames.
@@ -190,39 +193,32 @@ func (w *Writer) WriteFrame(ef *codec.EncodedFrame) error {
 	if _, err := w.w.Write(ef.Data); err != nil {
 		return fmt.Errorf("container: writing frame payload: %w", err)
 	}
-	w.frames++
 	return nil
 }
 
 // WritePackets writes pre-framed packet bytes (AppendFramePacket
-// framing) straight through and accounts count packets. Callers may
-// split one packet run across several calls — for write-deadline or
-// cancellation granularity — attributing the packet count to whichever
-// call they like; the byte stream is identical either way.
-func (w *Writer) WritePackets(p []byte, count int) error {
+// framing) straight through. Callers may split one packet run across
+// several calls, for write-deadline or cancellation granularity; the
+// byte stream is identical either way.
+func (w *Writer) WritePackets(p []byte) error {
 	if len(p) > 0 {
 		if _, err := w.w.Write(p); err != nil {
 			return fmt.Errorf("container: writing frame packets: %w", err)
 		}
 	}
-	w.frames += count
 	return nil
 }
 
-// ReadPacketsFrom streams n bytes of pre-framed packet data from r,
-// accounting count packets. The copy goes through io.CopyN, so a
-// destination with a ReadFrom fast path (a TCP connection moving
-// file-backed bytes with sendfile) is used when available.
-func (w *Writer) ReadPacketsFrom(r io.Reader, n int64, count int) error {
+// ReadPacketsFrom streams n bytes of pre-framed packet data from r. The
+// copy goes through io.CopyN, so a destination with a ReadFrom fast path
+// (a TCP connection moving file-backed bytes with sendfile) is used when
+// available.
+func (w *Writer) ReadPacketsFrom(r io.Reader, n int64) error {
 	if _, err := io.CopyN(w.w, r, n); err != nil {
 		return fmt.Errorf("container: streaming frame packets: %w", err)
 	}
-	w.frames += count
 	return nil
 }
-
-// FramesWritten returns the number of frame packets written.
-func (w *Writer) FramesWritten() int { return w.frames }
 
 // Reader parses a stream.
 type Reader struct {
@@ -268,6 +264,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 			return nil, fmt.Errorf("%w: short chunk payload: %w", ErrFormat, err)
 		}
 		if kind == ChunkLuminance {
+			h.AnnotationsLen = len(data)
 			tr, err := annotation.Decode(data)
 			if err != nil {
 				// Tolerate a corrupt annotation track: record the

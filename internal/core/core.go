@@ -24,7 +24,6 @@ import (
 	"fmt"
 
 	"repro/internal/annotation"
-	"repro/internal/battery"
 	"repro/internal/compensate"
 	"repro/internal/display"
 	"repro/internal/frame"
@@ -78,9 +77,6 @@ type PlaybackOptions struct {
 	Device *display.Profile
 	// Quality is the clipping budget the user requested (fraction).
 	Quality float64
-	// Method is the compensation operator (contrast enhancement by
-	// default, as in the paper).
-	Method compensate.Method
 	// PerFrame retains the per-frame series needed by Figure 6.
 	PerFrame bool
 	// EvaluateQuality computes perceived-intensity fidelity per frame
@@ -284,27 +280,4 @@ func EstimateAveragePower(track *annotation.Track, dev *display.Profile, model *
 		return 0
 	}
 	return energy / seconds
-}
-
-// QualityForRuntime picks the lowest clipping budget whose predicted
-// playback power lets the battery last at least hours — automating the
-// user's power/quality decision (§4.2: "the user decides if some quality
-// can be traded for more power savings"). It returns the chosen quality
-// index and the predicted runtime at that level; ok is false when even the
-// most aggressive level cannot reach the target (the caller then gets the
-// best available).
-func QualityForRuntime(track *annotation.Track, dev *display.Profile, pack *battery.Pack, hours float64) (qi int, predictedHours float64, ok bool) {
-	model := power.DefaultModel(dev)
-	best := len(track.Quality) - 1
-	for i := range track.Quality {
-		p := EstimateAveragePower(track, dev, model, i)
-		h := pack.HoursAt(p)
-		if h >= hours {
-			return i, h, true
-		}
-		if i == best {
-			return i, h, false
-		}
-	}
-	return best, 0, false
 }

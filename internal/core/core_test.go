@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/annotation"
-	"repro/internal/battery"
 	"repro/internal/compensate"
 	"repro/internal/display"
 	"repro/internal/frame"
@@ -259,44 +258,5 @@ func TestEstimateAveragePowerDegenerate(t *testing.T) {
 	}
 	if got := EstimateAveragePower(empty, dev, model, 5); math.Abs(got-full) > 1e-9 {
 		t.Errorf("bad index estimate = %v", got)
-	}
-}
-
-func TestQualityForRuntime(t *testing.T) {
-	c := darkClip()
-	track := annotate(t, c)
-	dev := display.IPAQ5555()
-	pack := battery.IPAQ1900()
-	model := power.DefaultModel(dev)
-
-	// An easily achievable target picks the best (lossless) quality.
-	easy := pack.HoursAt(EstimateAveragePower(track, dev, model, 0)) - 0.01
-	qi, hours, ok := QualityForRuntime(track, dev, pack, easy)
-	if !ok || qi != 0 {
-		t.Errorf("easy target picked quality %d (ok=%v)", qi, ok)
-	}
-	if hours < easy {
-		t.Errorf("predicted %vh below target %vh", hours, easy)
-	}
-
-	// A target between lossless and max-aggression picks an intermediate
-	// or aggressive level.
-	hardPower := EstimateAveragePower(track, dev, model, len(track.Quality)-1)
-	mid := pack.HoursAt(hardPower) - 0.01
-	qi, _, ok = QualityForRuntime(track, dev, pack, mid)
-	if !ok {
-		t.Errorf("reachable target reported unreachable")
-	}
-	if qi == 0 {
-		t.Errorf("demanding target picked lossless quality")
-	}
-
-	// An impossible target reports ok=false with the best effort.
-	qi, hours, ok = QualityForRuntime(track, dev, pack, 1e6)
-	if ok {
-		t.Error("impossible target reported reachable")
-	}
-	if qi != len(track.Quality)-1 || hours <= 0 {
-		t.Errorf("impossible target best effort = %d/%v", qi, hours)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/battery"
 	"repro/internal/core"
 	"repro/internal/display"
 	"repro/internal/scene"
@@ -34,21 +33,4 @@ func Example() {
 	// Output:
 	// 2 scenes, 58B of annotations
 	// backlight saved: 83%
-}
-
-// QualityForRuntime automates the user's power/quality decision: given a
-// runtime target, it picks the gentlest quality level that reaches it.
-func ExampleQualityForRuntime() {
-	clip := video.MustNew("flight", 40, 30, 10, 11, []video.SceneSpec{
-		{Frames: 15, BaseLuma: 0.15, LumaSpread: 0.12, MaxLuma: 0.78, HighlightFrac: 0.01},
-		{Frames: 15, BaseLuma: 0.22, LumaSpread: 0.14, MaxLuma: 0.95, HighlightFrac: 0.008},
-	})
-	track, _, err := core.Annotate(core.ClipSource{Clip: clip}, scene.DefaultConfig(clip.FPS), nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	qi, hours, ok := core.QualityForRuntime(track, display.IPAQ5555(), battery.IPAQ1900(), 2.5)
-	fmt.Printf("quality %.0f%%, %.1fh, reachable=%v\n", track.Quality[qi]*100, hours, ok)
-	// Output:
-	// quality 5%, 2.8h, reachable=true
 }

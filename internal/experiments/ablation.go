@@ -339,7 +339,7 @@ func AblateHardwareSteps(opt Options, clipName string) ([]HardwareRow, error) {
 	full := dev.BacklightPower(display.MaxLevel) * float64(len(levels)) / float64(clip.FPS)
 	var rows []HardwareRow
 	for _, steps := range []int{4, 8, 16, 32, 64, 256} {
-		drv, err := backlightdev.New(steps, 0)
+		drv, err := backlightdev.New(steps)
 		if err != nil {
 			return nil, err
 		}

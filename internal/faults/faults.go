@@ -217,9 +217,6 @@ type Injector struct {
 // NewInjector builds an injector over cfg.
 func NewInjector(cfg Config) *Injector { return &Injector{cfg: cfg} }
 
-// Config returns the injector's configuration.
-func (in *Injector) Config() Config { return in.cfg }
-
 // Wrap wraps one connection with the injector's faults. Each call
 // consumes the next connection ordinal.
 func (in *Injector) Wrap(c net.Conn) net.Conn {

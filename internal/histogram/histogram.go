@@ -110,35 +110,9 @@ func (h *H) DynamicRange() int {
 
 // fracEps absorbs float rounding when converting a pixel fraction to an
 // absolute pixel count: products like 0.15*20 evaluate to a hair above
-// the exact integer (3.0000000000000004), and a bare Ceil or truncation
-// would then be off by a whole pixel.
+// the exact integer (3.0000000000000004), and a bare truncation would
+// then be off by a whole pixel.
 const fracEps = 1e-9
-
-// Percentile returns the smallest luminance level v such that at least
-// q (0..1) of the pixels have luminance <= v. Percentile(1) == Max().
-func (h *H) Percentile(q float64) int {
-	if h.Total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	need := uint64(math.Ceil(q*float64(h.Total) - fracEps))
-	if need == 0 {
-		return h.Min()
-	}
-	var cum uint64
-	for i, c := range h.Count {
-		cum += c
-		if cum >= need {
-			return i
-		}
-	}
-	return Bins - 1
-}
 
 // ClipLevel returns the luminance level the scene can be clipped to when a
 // fraction budget (0..1) of the brightest pixels is allowed to saturate:
@@ -202,20 +176,6 @@ func Intersection(a, b *H) float64 {
 	var s float64
 	for i := range pa {
 		s += math.Min(pa[i], pb[i])
-	}
-	return s
-}
-
-// ChiSquare returns the symmetric chi-square distance between the two
-// normalised histograms (0 = identical).
-func ChiSquare(a, b *H) float64 {
-	pa, pb := a.normalized(), b.normalized()
-	var s float64
-	for i := range pa {
-		if d := pa[i] + pb[i]; d > 0 {
-			diff := pa[i] - pb[i]
-			s += diff * diff / d
-		}
 	}
 	return s
 }

@@ -45,22 +45,6 @@ func TestMinMaxDynamicRange(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	h := uniform(0, 50, 100, 150, 200, 250, 255, 255, 255, 255)
-	cases := []struct {
-		q    float64
-		want int
-	}{
-		{0, 0}, {0.1, 0}, {0.2, 50}, {0.5, 200}, {0.6, 250}, {1, 255},
-		{-1, 0}, {2, 255},
-	}
-	for _, c := range cases {
-		if got := h.Percentile(c.q); got != c.want {
-			t.Errorf("Percentile(%v) = %d, want %d", c.q, got, c.want)
-		}
-	}
-}
-
 func TestClipLevelLossless(t *testing.T) {
 	h := uniform(10, 20, 200)
 	if got := h.ClipLevel(0); got != 200 {
@@ -94,58 +78,6 @@ func TestClipLevelExtremes(t *testing.T) {
 	}
 	if got := (&H{}).ClipLevel(0.5); got != 0 {
 		t.Errorf("empty ClipLevel = %d, want 0", got)
-	}
-}
-
-// TestPercentileBoundaries is the table-driven boundary audit: q=0, q=1,
-// empty and all-zero histograms, the Percentile(1) == Max() invariant,
-// and fractions whose float product lands a hair off an integer (the
-// off-by-one the cumulative-count comparison used to be exposed to:
-// 0.15*20 evaluates to 3.0000000000000004, so Ceil overshot by a pixel).
-func TestPercentileBoundaries(t *testing.T) {
-	twenty := make([]uint8, 0, 20)
-	for i := 0; i < 20; i++ {
-		twenty = append(twenty, uint8(i*10))
-	}
-	cases := []struct {
-		name string
-		h    *H
-		q    float64
-		want int
-	}{
-		{"empty q=0", &H{}, 0, 0},
-		{"empty q=1", &H{}, 1, 0},
-		{"all-zero q=0", uniform(0, 0, 0), 0, 0},
-		{"all-zero q=0.5", uniform(0, 0, 0), 0.5, 0},
-		{"all-zero q=1", uniform(0, 0, 0), 1, 0},
-		{"single q=0", uniform(77), 0, 77},
-		{"single q=1", uniform(77), 1, 77},
-		// 0.15*20 = 3.0000000000000004 in float64; want the 3rd sample.
-		{"float-rounding 0.15*20", FromLuma(twenty), 0.15, 20},
-		// 0.35*20 = 6.999999999999999; Ceil keeps it at 7 either way.
-		{"float-rounding 0.35*20", FromLuma(twenty), 0.35, 60},
-		{"q clamped below", uniform(5, 9), -3, 5},
-		{"q clamped above", uniform(5, 9), 7, 9},
-	}
-	for _, c := range cases {
-		if got := c.h.Percentile(c.q); got != c.want {
-			t.Errorf("%s: Percentile(%v) = %d, want %d", c.name, c.q, got, c.want)
-		}
-	}
-}
-
-// Invariant from the doc comment: Percentile(1) == Max() on any
-// non-empty histogram.
-func TestPercentileOneIsMaxProperty(t *testing.T) {
-	f := func(samples []uint8) bool {
-		if len(samples) == 0 {
-			return true
-		}
-		h := FromLuma(samples)
-		return h.Percentile(1) == h.Max()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -225,17 +157,6 @@ func TestIntersectionDisjoint(t *testing.T) {
 	}
 }
 
-func TestChiSquare(t *testing.T) {
-	h := uniform(5, 10)
-	if got := ChiSquare(h, h); got != 0 {
-		t.Errorf("self ChiSquare = %v, want 0", got)
-	}
-	a, b := uniform(10), uniform(200)
-	if got := ChiSquare(a, b); math.Abs(got-2) > 1e-12 {
-		t.Errorf("disjoint ChiSquare = %v, want 2", got)
-	}
-}
-
 func TestEMDShift(t *testing.T) {
 	// Shifting a delta distribution by k levels moves k units of earth.
 	a, b := uniform(100), uniform(110)
@@ -259,24 +180,6 @@ func TestStringFormat(t *testing.T) {
 	want := "hist{n=2 avg=15.0 range=[10,20]}"
 	if got := h.String(); got != want {
 		t.Errorf("String = %q, want %q", got, want)
-	}
-}
-
-// Property: Percentile is monotone in q.
-func TestPercentileMonotoneProperty(t *testing.T) {
-	f := func(samples []uint8, q1, q2 uint8) bool {
-		if len(samples) == 0 {
-			return true
-		}
-		h := FromLuma(samples)
-		a, b := float64(q1)/255, float64(q2)/255
-		if a > b {
-			a, b = b, a
-		}
-		return h.Percentile(a) <= h.Percentile(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -28,9 +28,6 @@ func NewBuffer(fps float64) *Buffer {
 	return &Buffer{fps: fps, now: time.Now}
 }
 
-// SetClock replaces the wall clock, for deterministic tests.
-func (b *Buffer) SetClock(now func() time.Time) { b.now = now }
-
 // Deliver records n received frames. The playout clock starts at the
 // first delivery.
 func (b *Buffer) Deliver(n int) {

@@ -15,7 +15,7 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func TestBufferLead(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(100, 0)}
 	b := NewBuffer(10) // 0.1s per frame
-	b.SetClock(clk.now)
+	b.now = clk.now
 	if b.LeadSeconds() != 0 {
 		t.Errorf("lead before first delivery = %v, want 0", b.LeadSeconds())
 	}
@@ -57,7 +57,7 @@ func TestBufferLead(t *testing.T) {
 func TestBufferMaxLagPersistsAcrossClockStep(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	b := NewBuffer(1) // 1s per frame
-	b.SetClock(clk.now)
+	b.now = clk.now
 	b.Deliver(1) // 1s of content, clock starts
 	clk.advance(10 * time.Second)
 	if got := b.MaxLagSeconds(); math.Abs(got-9.0) > 1e-9 {
@@ -84,7 +84,7 @@ func TestBufferDegenerate(t *testing.T) {
 	}
 	clamped := NewBuffer(0) // hostile fps clamps to 1
 	clk := &fakeClock{t: time.Unix(0, 0)}
-	clamped.SetClock(clk.now)
+	clamped.now = clk.now
 	clamped.Deliver(3)
 	if got := clamped.LeadSeconds(); math.Abs(got-3.0) > 1e-9 {
 		t.Errorf("clamped-fps lead = %v, want 3.0", got)

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -62,26 +61,17 @@ func ParseLevel(s string) (Level, error) {
 type Logger struct {
 	mu  sync.Mutex
 	w   io.Writer
-	min atomic.Int32
+	min Level
 }
 
 // NewLogger builds a logger writing to w, dropping events below min.
 func NewLogger(w io.Writer, min Level) *Logger {
-	l := &Logger{w: w}
-	l.min.Store(int32(min))
-	return l
-}
-
-// SetLevel changes the minimum emitted level.
-func (l *Logger) SetLevel(min Level) {
-	if l != nil {
-		l.min.Store(int32(min))
-	}
+	return &Logger{w: w, min: min}
 }
 
 // Enabled reports whether events at level would be emitted.
 func (l *Logger) Enabled(level Level) bool {
-	return l != nil && int32(level) >= l.min.Load()
+	return l != nil && level >= l.min
 }
 
 // Debug, Info, Warn and Error emit one line at their level. kv is

@@ -183,7 +183,7 @@ type Registry struct {
 	order    []string
 
 	spanMu   sync.Mutex
-	spanRing []SpanRecord // lazily sized; see SetSpanRingSize
+	spanRing []SpanRecord // lazily sized to defaultSpanRingSize
 	spanN    uint64
 
 	// Completed sampled trace spans, separately ring-buffered so a

@@ -10,8 +10,7 @@ import (
 // series per span name (label "span").
 const SpanMetric = "span_duration_seconds"
 
-// defaultSpanRingSize is the recent-span ring capacity when
-// SetSpanRingSize was not called.
+// defaultSpanRingSize is the recent-span ring capacity.
 const defaultSpanRingSize = 128
 
 // Attr is one key/value annotation on a span.
@@ -159,18 +158,6 @@ func (r *Registry) recordSpan(rec SpanRecord) {
 	}
 	r.spanRing[r.spanN%uint64(len(r.spanRing))] = rec
 	r.spanN++
-	r.spanMu.Unlock()
-}
-
-// SetSpanRingSize bounds the recent-span ring behind /debug/spans
-// (default 128). Resizing clears the ring.
-func (r *Registry) SetSpanRingSize(n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	r.spanMu.Lock()
-	r.spanRing = make([]SpanRecord, n)
-	r.spanN = 0
 	r.spanMu.Unlock()
 }
 

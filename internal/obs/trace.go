@@ -172,21 +172,8 @@ func (r *Registry) SetTraceSampling(ratio float64) {
 	r.traceMu.Unlock()
 }
 
-// defaultTraceRingSize bounds the completed-trace-span ring when
-// SetTraceRingSize was not called.
+// defaultTraceRingSize bounds the completed-trace-span ring.
 const defaultTraceRingSize = 2048
-
-// SetTraceRingSize bounds the ring of completed trace spans served by
-// /debug/traces (default 2048). Resizing clears the ring.
-func (r *Registry) SetTraceRingSize(n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	r.traceMu.Lock()
-	r.traceRing = make([]SpanRecord, n)
-	r.traceN = 0
-	r.traceMu.Unlock()
-}
 
 // SetTraceWriter streams every completed sampled span to w as one JSON
 // line (the -trace-dir export). Writes are serialised; a nil w stops the

@@ -156,7 +156,7 @@ func TestTraceSampling(t *testing.T) {
 
 func TestTraceRingBoundsAndResize(t *testing.T) {
 	r := NewRegistry()
-	r.SetTraceRingSize(4)
+	r.traceRing = make([]SpanRecord, 4)
 	ctx := WithRegistry(context.Background(), r)
 	for i := 0; i < 10; i++ {
 		_, sp := StartTrace(ctx, "op")
@@ -176,7 +176,7 @@ func TestTraceRingBoundsAndResize(t *testing.T) {
 
 func TestSpanRingResize(t *testing.T) {
 	r := NewRegistry()
-	r.SetSpanRingSize(8)
+	r.spanRing = make([]SpanRecord, 8)
 	for i := 0; i < 50; i++ {
 		r.StartSpan("s").End()
 	}
@@ -293,7 +293,7 @@ func TestDebugTracesEndpoint(t *testing.T) {
 // metric refresh.
 func TestConcurrentTracingAndScrape(t *testing.T) {
 	r := NewRegistry()
-	r.SetTraceRingSize(64)
+	r.traceRing = make([]SpanRecord, 64)
 	r.SetTraceWriter(io.Discard)
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()

@@ -169,7 +169,7 @@ func decodeVariantArtifact(b []byte) (*variant, error) {
 // encSig identifies the encoder parameters a variant was produced with;
 // it is folded into the variant's disk digest so a store shared across
 // restarts never serves bits encoded under different codec settings.
-func encSig(cfg EncodeConfig) string {
+func encSig(cfg encodeConfig) string {
 	return fmt.Sprintf("+g%dq%d", cfg.GOP, cfg.QScale)
 }
 

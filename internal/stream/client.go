@@ -486,7 +486,7 @@ func (c *Client) play(ctx context.Context, s *session, reader *container.Reader,
 	if hdr.Annotations != nil {
 		res.Annotated = true
 		res.Scenes = len(hdr.Annotations.Records)
-		res.BytesAnn = hdr.Annotations.Size()
+		res.BytesAnn = hdr.AnnotationsLen
 		if up != nil { // each connection resends the track over the wire
 			s.ledger.AddAnnotationBytes(int64(res.BytesAnn))
 		}

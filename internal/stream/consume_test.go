@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"net"
 	"reflect"
 	"slices"
@@ -270,5 +271,52 @@ func TestPlayContainerMatchesFixedSession(t *testing.T) {
 	c.Ladder = &adaptive.LadderConfig{}
 	if _, err := c.PlayContainer(context.Background(), open(), 0.10); err == nil {
 		t.Error("an adaptive client played a file")
+	}
+}
+
+// TestAnnotationBytesAreTheChunkWireLength: a session counts the
+// annotation bytes it read, the ChunkLuminance payload as it came off the
+// wire, in PlayResult.BytesAnn and in its ledger. A non-canonical payload
+// (here the first record's frame count as a padded two-byte uvarint,
+// which Decode accepts) is longer than the track's own encoding, and the
+// wire length is still the count.
+func TestAnnotationBytesAreTheChunkWireLength(t *testing.T) {
+	src, track, v, _, _ := buildServingFixture(t)
+	var stream bytes.Buffer
+	if _, err := send(context.Background(), &stream, src, track, v, nil, 0, nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Walk the header's chunk list: magic, 10 fixed bytes ending in the
+	// chunk count, then [kind u8][length u32][payload] per chunk.
+	b := stream.Bytes()
+	start, end := -1, -1
+	for i, p := 0, 14; i < int(b[13]); i++ {
+		n := int(binary.BigEndian.Uint32(b[p+1:]))
+		if b[p] == container.ChunkLuminance {
+			start, end = p+5, p+5+n
+		}
+		p += 5 + n
+	}
+	if start < 0 {
+		t.Fatal("stream has no luminance chunk")
+	}
+	canonical := b[start:end]
+	off := 4 + 1 + len(track.Quality) + 2 + 4 // first record's frame count
+	if canonical[off] >= 0x80 {
+		t.Fatalf("first record's frame count byte %#x is not a one-byte uvarint", canonical[off])
+	}
+	padded := append(append(slices.Clip(canonical[:off]), canonical[off]|0x80, 0), canonical[off+1:]...)
+	if dec, err := annotation.Decode(padded); err != nil || !reflect.DeepEqual(dec.Records, track.Records) {
+		t.Fatalf("padded track does not decode to the served records (err %v)", err)
+	}
+
+	for _, payload := range [][]byte{canonical, padded} {
+		wire := slices.Concat(b[:start-4], binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload, b[end:])
+		addr := fakeServer(t, func(conn net.Conn, req Request) { conn.Write(wire) })
+		res, _ := playLevels(t, addr, 0.10)
+		if res.BytesAnn != len(payload) || res.Ledger.AnnotationBytes != int64(len(payload)) {
+			t.Errorf("%d-byte luminance chunk counted as BytesAnn %d, ledger %d",
+				len(payload), res.BytesAnn, res.Ledger.AnnotationBytes)
+		}
 	}
 }

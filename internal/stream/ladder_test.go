@@ -44,7 +44,7 @@ func abrServer(t *testing.T) *Server {
 	t.Helper()
 	s := NewServer(abrCatalog())
 	s.SetLogf(quiet)
-	s.SetEncodeConfig(EncodeConfig{GOP: 4})
+	s.enc = encodeConfig{GOP: 4}
 	return s
 }
 

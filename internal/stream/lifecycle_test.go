@@ -27,12 +27,12 @@ func TestProxyShutdownStopsRecoveryProber(t *testing.T) {
 		reg := obs.NewRegistry()
 		p := NewProxy("127.0.0.1:1") // nothing listens here: dials refuse instantly
 		p.SetLogf(quiet)
-		p.SetProbeInterval(2 * time.Millisecond)
-		p.SetBreakerConfig(breaker.Config{
+		p.setProbeInterval(2 * time.Millisecond)
+		p.setBreakerConfig(breaker.Config{
 			Window: time.Second, Buckets: 4, FailureRate: 0.5,
 			MinSamples: 1, OpenFor: 5 * time.Millisecond, HalfOpenProbes: 1, CloseAfter: 1,
 		})
-		p.SetRetryPolicy(RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond})
+		p.retry = RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond}
 		p.SetObserver(reg)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

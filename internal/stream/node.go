@@ -64,7 +64,7 @@ type nodeCore struct {
 	// annWorkers is the annotation pipeline's worker-pool size.
 	annWorkers int
 	// enc is the codec configuration variants are encoded with.
-	enc EncodeConfig
+	enc encodeConfig
 
 	// cnode, when set, shards artifact ownership across the member
 	// list: local misses fill from the shard owner before computing,

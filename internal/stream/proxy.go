@@ -110,20 +110,18 @@ func (p *Proxy) onBreakerChange(addr string, from, to breaker.State) {
 	}
 }
 
-// SetBreakerConfig overrides the per-upstream circuit-breaker tuning
+// setBreakerConfig overrides the per-upstream circuit-breaker tuning
 // (rolling failure window, open cool-down, probe budget; zero fields get
-// the cluster.PeerSet defaults); the OnStateChange callback, if any, is
-// chained after the proxy's own logging/metrics hook. Call before
-// Listen.
-func (p *Proxy) SetBreakerConfig(cfg breaker.Config) {
+// the cluster.PeerSet defaults). Call before Listen.
+func (p *Proxy) setBreakerConfig(cfg breaker.Config) {
 	p.upCfg.Breaker = cfg
 	p.rebuildUpstreams()
 }
 
-// SetProbeInterval sets how often unhealthy upstreams are probed for
+// setProbeInterval sets how often unhealthy upstreams are probed for
 // recovery (dial-level reachability; 0 disables probing). Call before
 // Listen.
-func (p *Proxy) SetProbeInterval(d time.Duration) {
+func (p *Proxy) setProbeInterval(d time.Duration) {
 	p.upCfg.ProbeEvery = d
 	p.rebuildUpstreams()
 }
@@ -152,15 +150,6 @@ func (p *Proxy) SetObserver(r *obs.Registry) {
 			"Per-upstream breaker state (0 closed, 1 half-open, 2 open).",
 			obs.L("role", "proxy"), obs.L("upstream", a)).Set(float64(p.upstreams.State(a)))
 	}
-}
-
-// SetRetryPolicy overrides the upstream fetch retry behaviour (the zero
-// value means 3 attempts with the default backoff). Call before Listen.
-func (p *Proxy) SetRetryPolicy(r RetryPolicy) {
-	if r.MaxAttempts <= 0 {
-		r.MaxAttempts = 3
-	}
-	p.retry = r
 }
 
 // SetDial overrides the upstream dial function for fetches and recovery

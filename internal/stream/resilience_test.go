@@ -260,7 +260,7 @@ func TestServerOverCapacityRefusalAndRetry(t *testing.T) {
 	s.SetLogf(quiet)
 	s.SetObserver(reg)
 	s.SetMaxSessions(1)
-	s.SetAdmissionQueue(0, 0) // hard refusal: shed immediately when full
+	s.queueDepth = 0 // hard refusal: shed immediately when full
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +321,7 @@ func TestProxyServesStaleWhenUpstreamDies(t *testing.T) {
 	p := NewProxy(upstreamAddr.String())
 	p.SetLogf(quiet)
 	p.SetObserver(reg)
-	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond})
+	p.retry = RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond}
 	addr, err := p.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -377,7 +377,7 @@ func TestProxyClosesUpstreamConnections(t *testing.T) {
 	_, upstream := startServer(t)
 	p := NewProxy(upstream)
 	p.SetLogf(quiet)
-	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 1})
+	p.retry = RetryPolicy{MaxAttempts: 1}
 	var dialed, closed atomic.Int64
 	p.SetDial(func(network, addr string) (net.Conn, error) {
 		conn, err := net.Dial(network, addr)

@@ -30,8 +30,8 @@ func newRevalidateProxy(t testing.TB, upstream string) *Proxy {
 	t.Helper()
 	p := NewProxy(upstream)
 	p.SetLogf(quiet)
-	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 1})
-	p.SetBreakerConfig(breaker.Config{MinSamples: 1 << 20})
+	p.retry = RetryPolicy{MaxAttempts: 1}
+	p.setBreakerConfig(breaker.Config{MinSamples: 1 << 20})
 	t.Cleanup(p.Close)
 	return p
 }

@@ -218,7 +218,7 @@ func TestServerAdmissionQueueAdmitsAfterSlotFrees(t *testing.T) {
 	s.SetLogf(quiet)
 	s.SetObserver(reg)
 	s.SetMaxSessions(1)
-	s.SetAdmissionQueue(1, 2*time.Second)
+	s.queueDepth, s.queueWait = 1, 2*time.Second
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func TestServerShedsWhenQueueFull(t *testing.T) {
 	s.SetLogf(quiet)
 	s.SetObserver(reg)
 	s.SetMaxSessions(1)
-	s.SetAdmissionQueue(1, 5*time.Second)
+	s.queueDepth, s.queueWait = 1, 5*time.Second
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +306,7 @@ func TestServerShedsOnQueueWaitDeadline(t *testing.T) {
 	s.SetLogf(quiet)
 	s.SetObserver(reg)
 	s.SetMaxSessions(1)
-	s.SetAdmissionQueue(4, 60*time.Millisecond)
+	s.queueDepth, s.queueWait = 4, 60*time.Millisecond
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -489,7 +489,7 @@ func TestChaosProxyFailoverBreakerLifecycle(t *testing.T) {
 	p := NewProxy(upstreamA, upstreamB)
 	p.SetLogf(quiet)
 	p.SetObserver(reg)
-	p.SetBreakerConfig(breaker.Config{
+	p.setBreakerConfig(breaker.Config{
 		Window: 10 * time.Second, Buckets: 10,
 		FailureRate: 0.5, MinSamples: 1,
 		OpenFor: 100 * time.Millisecond, HalfOpenProbes: 1, CloseAfter: 1,
@@ -499,7 +499,7 @@ func TestChaosProxyFailoverBreakerLifecycle(t *testing.T) {
 			tmu.Unlock()
 		},
 	})
-	p.SetProbeInterval(25 * time.Millisecond)
+	p.setProbeInterval(25 * time.Millisecond)
 	addr, err := p.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -570,8 +570,8 @@ func TestChaosProxyFailoverBreakerLifecycle(t *testing.T) {
 func TestProxyReadyReflectsBreakers(t *testing.T) {
 	p := NewProxy("127.0.0.1:1")
 	p.SetLogf(quiet)
-	p.SetBreakerConfig(breaker.Config{MinSamples: 1, OpenFor: time.Hour})
-	p.SetProbeInterval(0) // no prober; the test drives the breaker by hand
+	p.setBreakerConfig(breaker.Config{MinSamples: 1, OpenFor: time.Hour})
+	p.setProbeInterval(0) // no prober; the test drives the breaker by hand
 	if err := p.Ready(); err == nil {
 		t.Fatal("Ready() = nil before Serve, want not-serving")
 	}

@@ -29,13 +29,13 @@ import (
 // proxies start with.
 const DefaultCacheCapacity = 256 << 20
 
-// EncodeConfig controls the codec parameters the server streams with.
-type EncodeConfig struct {
+// encodeConfig controls the codec parameters the server streams with.
+type encodeConfig struct {
 	GOP    int // I-frame interval (defaults to one second of frames)
 	QScale int // quantiser scale (defaults to 4)
 }
 
-func (c EncodeConfig) withDefaults(fps int) EncodeConfig {
+func (c encodeConfig) withDefaults(fps int) encodeConfig {
 	if c.GOP <= 0 {
 		c.GOP = fps
 	}
@@ -104,11 +104,11 @@ type Server struct {
 	// the cap wait in a bounded admission queue (queueDepth slots, up to
 	// queueWait each) and are shed with a clean over-capacity refusal
 	// only when the queue is full or the wait deadline expires — a short
-	// burst rides the queue instead of being refused outright.
+	// burst rides the queue instead of being refused outright. A zero
+	// queueDepth sheds at once; a zero queueWait means 1s.
 	slots      chan struct{}
 	queueDepth int
 	queueWait  time.Duration
-	queueSet   bool
 	waiters    atomic.Int64
 
 	// digests memoises the content digest per catalog clip name (the
@@ -190,32 +190,16 @@ func NewServer(catalog map[string]core.Source) *Server {
 }
 
 // SetMaxSessions caps concurrent client sessions (0 = unlimited).
-// Connections over the cap wait in a bounded admission queue and are
-// shed with a clean over-capacity refusal only once the queue is full or
-// the wait deadline expires (see SetAdmissionQueue). Call before Listen.
+// Connections over the cap wait in a bounded admission queue, n deep,
+// and are shed with a clean over-capacity refusal only once the queue is
+// full or a 1s wait deadline expires. Call before Listen.
 func (s *Server) SetMaxSessions(n int) {
 	s.slots = nil
 	if n > 0 {
 		s.slots = make(chan struct{}, n)
 	}
-	if !s.queueSet {
-		s.queueDepth = n
-	}
+	s.queueDepth = n
 }
-
-// SetAdmissionQueue tunes load shedding under a SetMaxSessions cap:
-// depth is the number of connections allowed to wait for a session slot
-// (0 = shed immediately when at capacity, the pre-queue behaviour), wait
-// is the longest any of them waits before being shed. The defaults are
-// depth = max sessions and a 1s wait. Call before Listen.
-func (s *Server) SetAdmissionQueue(depth int, wait time.Duration) {
-	s.queueDepth = depth
-	s.queueWait = wait
-	s.queueSet = true
-}
-
-// SetEncodeConfig overrides codec parameters.
-func (s *Server) SetEncodeConfig(c EncodeConfig) { s.enc = c }
 
 // clientSession runs one accepted connection: admission, then the
 // protocol handler (teardown and panic isolation live in the shared
@@ -485,7 +469,7 @@ func resumePoint(frames []*codec.EncodedFrame, req Request) (int, error) {
 // annotating ahead of time (§3). A nil track is the payload of a ModeRaw
 // session: src encoded untouched, with no compensation and no side
 // channels (qi is unused).
-func prepareVariant(ctx context.Context, src core.Source, track *annotation.Track, qi int, cfg EncodeConfig) (*variant, error) {
+func prepareVariant(ctx context.Context, src core.Source, track *annotation.Track, qi int, cfg encodeConfig) (*variant, error) {
 	width, height := src.Size()
 	enc, err := codec.NewEncoder(width, height, cfg.GOP, cfg.QScale)
 	if err != nil {
@@ -557,7 +541,7 @@ func prepareVariant(ctx context.Context, src core.Source, track *annotation.Trac
 // variantFor is the cached variant lookup: encode once per (content
 // digest, rung, encoder config), serve forever. A nil track looks up
 // the clip's raw encode (ModeRaw), keyed apart from every rung.
-func variantFor(ctx context.Context, t tier, digest string, src core.Source, track *annotation.Track, qi int, cfg EncodeConfig) (*variant, error) {
+func variantFor(ctx context.Context, t tier, digest string, src core.Source, track *annotation.Track, qi int, cfg encodeConfig) (*variant, error) {
 	key := anncache.Key{Kind: "variant", Digest: digest, Quality: qi}
 	if track == nil {
 		key = anncache.Key{Kind: "raw", Digest: digest, Quality: -1}
@@ -645,7 +629,7 @@ func sendWire(ctx context.Context, cw *container.Writer, v *variant, from, to in
 		if seg > end {
 			seg = end
 		}
-		if err := cw.WritePackets(v.wire[off:seg], 0); err != nil {
+		if err := cw.WritePackets(v.wire[off:seg]); err != nil {
 			return err
 		}
 		off = seg
@@ -676,7 +660,7 @@ func sendWireFile(ctx context.Context, cw *container.Writer, ref wireFileRef, st
 		if seg > wireChunkSize {
 			seg = wireChunkSize
 		}
-		if err := cw.ReadPacketsFrom(f, seg, 0); err != nil {
+		if err := cw.ReadPacketsFrom(f, seg); err != nil {
 			return err
 		}
 		off += seg

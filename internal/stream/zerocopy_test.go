@@ -28,7 +28,7 @@ import (
 
 // buildServingFixture computes the track and one prepared variant of
 // the test clip, exactly as a server session would.
-func buildServingFixture(t testing.TB) (core.Source, *annotation.Track, *variant, EncodeConfig, int) {
+func buildServingFixture(t testing.TB) (core.Source, *annotation.Track, *variant, encodeConfig, int) {
 	t.Helper()
 	cat := testCatalog()
 	src := cat["night"]
@@ -238,7 +238,7 @@ func TestSendAdaptiveMatchesReferenceWriter(t *testing.T) {
 
 // rawReferenceBytes replicates streamRaw's pre-caching behaviour: a
 // bare header and a fresh encoder run over the clip.
-func rawReferenceBytes(t *testing.T, src core.Source, cfg EncodeConfig) []byte {
+func rawReferenceBytes(t *testing.T, src core.Source, cfg encodeConfig) []byte {
 	t.Helper()
 	w, h := src.Size()
 	enc, err := codec.NewEncoder(w, h, cfg.GOP, cfg.QScale)

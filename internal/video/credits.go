@@ -92,16 +92,3 @@ func (c *CreditsClip) Frame(i int) *frame.Frame {
 	}
 	return f
 }
-
-// TextFraction returns the fraction of frame i's pixels that are glyphs.
-func (c *CreditsClip) TextFraction(i int) float64 {
-	n := 0
-	for y := 0; y < c.H; y++ {
-		for x := 0; x < c.W; x++ {
-			if c.TextAt(i, x, y) {
-				n++
-			}
-		}
-	}
-	return float64(n) / float64(c.W*c.H)
-}
