@@ -6,9 +6,8 @@
 //
 // Usage:
 //
-//	streamd [-addr 127.0.0.1:7400] [-proxy-of upstream:port]
-//	        [-upstreams a:port,b:port] [-drain-timeout 15s]
-//	        [-peers a:port,b:port] [-advertise host:port]
+//	streamd [-addr 127.0.0.1:7400] [-upstreams a:port,b:port]
+//	        [-drain-timeout 15s] [-peers a:port,b:port] [-advertise host:port]
 //	        [-debug-addr :7401] [-w 120 -h 90 -fps 10 -scale 0.25]
 //	        [-max-sessions 0] [-workers N] [-cache-size MiB]
 //	        [-store-dir /var/lib/streamd] [-store-size MiB]
@@ -16,8 +15,8 @@
 //	        [-faults latency=2ms,reset=65536,repeat,seed=7]
 //	streamd -store-dir /var/lib/streamd -fsck
 //
-// With -proxy-of (or -upstreams, a comma-separated failover list) the
-// process runs as the intermediary proxy node instead, pulling raw
+// With -upstreams (a comma-separated failover list, one address or
+// more) the process runs as the intermediary proxy node instead, pulling raw
 // streams from the upstream servers — each guarded by a circuit breaker —
 // and annotating on the fly. With -peers the node joins a sharded
 // serving cluster: artifact ownership is rendezvous-hashed across self
@@ -85,7 +84,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7400", "listen address")
-	proxyOf := flag.String("proxy-of", "", "run as a proxy for this upstream server")
 	upstreams := flag.String("upstreams", "", "run as a proxy for these comma-separated upstreams in failover order")
 	peers := flag.String("peers", "", "join a sharded serving cluster with these comma-separated peer addresses (artifact ownership is rendezvous-hashed across self + peers)")
 	advertise := flag.String("advertise", "", "address peers reach this node at (defaults to -addr)")
@@ -206,13 +204,9 @@ func main() {
 	if selfAddr == "" {
 		selfAddr = *addr
 	}
-	upstreamList := *upstreams
-	if upstreamList == "" {
-		upstreamList = *proxyOf
-	}
 	var upstreamAddrs []string
-	if upstreamList != "" {
-		upstreamAddrs, err = cluster.ValidateMembers(*addr, strings.Split(upstreamList, ","))
+	if *upstreams != "" {
+		upstreamAddrs, err = cluster.ValidateMembers(*addr, strings.Split(*upstreams, ","))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "streamd: -upstreams:", err)
 			os.Exit(2)
@@ -245,7 +239,7 @@ func main() {
 			"peers", strings.Join(cnode.Members()[1:], ","))
 	}
 
-	if upstreamList != "" {
+	if *upstreams != "" {
 		p := stream.NewProxy(upstreamAddrs...)
 		p.SetLogf(logger.Printf)
 		p.SetCluster(cnode)

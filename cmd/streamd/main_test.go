@@ -227,6 +227,11 @@ func TestAddressListValidation(t *testing.T) {
 			args: []string{"-addr", ":7500", "-peers", "127.0.0.1:7501"},
 			want: "requires -advertise",
 		},
+		{
+			name: "proxy-of is an unknown flag",
+			args: []string{"-addr", "127.0.0.1:7500", "-proxy-of", "127.0.0.1:7501"},
+			want: "flag provided but not defined: -proxy-of",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

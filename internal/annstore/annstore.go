@@ -420,10 +420,9 @@ type Ref struct {
 }
 
 // GetRef returns the payload location for key without reading the
-// payload, so large artifacts can be streamed from disk (e.g. via
-// sendfile) instead of being copied through memory. Unlike Get it does
-// not bump recency or verify the payload CRC — it is meant to follow a
-// successful Get of the same key in the same lookup.
+// payload. Unlike Get it does not bump recency or verify the payload
+// CRC, so the bytes at the location are unverified: a reader must not
+// serve them without checking them itself.
 func (s *Store) GetRef(key Key) (Ref, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

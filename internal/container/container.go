@@ -209,17 +209,6 @@ func (w *Writer) WritePackets(p []byte) error {
 	return nil
 }
 
-// ReadPacketsFrom streams n bytes of pre-framed packet data from r. The
-// copy goes through io.CopyN, so a destination with a ReadFrom fast path
-// (a TCP connection moving file-backed bytes with sendfile) is used when
-// available.
-func (w *Writer) ReadPacketsFrom(r io.Reader, n int64) error {
-	if _, err := io.CopyN(w.w, r, n); err != nil {
-		return fmt.Errorf("container: streaming frame packets: %w", err)
-	}
-	return nil
-}
-
 // Reader parses a stream.
 type Reader struct {
 	r      io.Reader

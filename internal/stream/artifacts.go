@@ -22,15 +22,10 @@ import (
 // -gop/-qscale must recompute rather than serve stale bits.
 
 // artifactCodec maps one artifact kind across the disk boundary.
-// decode returns the in-memory value and its cache cost. attachRef,
-// when non-nil, is handed the store file location of the artifact's
-// payload after a successful decode or write-through, so kinds whose
-// serving path can stream straight from disk (variants) learn where
-// their bytes live.
+// decode returns the in-memory value and its cache cost.
 type artifactCodec struct {
-	encode    func(v any) ([]byte, error)
-	decode    func(b []byte) (any, int64, error)
-	attachRef func(v any, ref annstore.Ref)
+	encode func(v any) ([]byte, error)
+	decode func(b []byte) (any, int64, error)
 }
 
 var trackCodec = artifactCodec{
@@ -58,16 +53,6 @@ var variantCodec = artifactCodec{
 		}
 		return v, v.cost(), nil
 	},
-	attachRef: func(v any, ref annstore.Ref) {
-		vv := v.(*variant)
-		// The wire region starts right after the artifact's preamble
-		// (version byte + frame count) and spans the frame packets.
-		vv.ref = wireFileRef{
-			path: ref.Path,
-			off:  ref.Off + variantWirePrefix,
-			n:    int64(len(vv.wire)),
-		}
-	},
 }
 
 // variantArtifactVersion versions the variant serialisation; bumping it
@@ -84,8 +69,8 @@ const variantWirePrefix = 1 + 4
 // the container's frame-packet framing, so a sealed variant's wire
 // form is embedded verbatim: what the store holds on disk between the
 // preamble and the trailing chunks is, byte for byte, what a session
-// streams to the socket — the property that makes sendfile serving of
-// store artifacts sound.
+// streams to the socket, so a store hit decodes to a wire that aliases
+// the CRC-verified bytes Get returned.
 func encodeVariantArtifact(v *variant) ([]byte, error) {
 	size := variantWirePrefix + len(v.wire) + 4 + len(v.cyclesChunk) + 4 + len(v.scenesChunk)
 	b := make([]byte, 0, size)
@@ -216,14 +201,6 @@ func (t tier) getOrCompute(ctx context.Context, key anncache.Key, digestSuffix s
 			ssp.End()
 			if found {
 				if v, cost, err := cod.decode(data); err == nil {
-					// The Get above CRC-verified the artifact; a file
-					// ref taken now points at that same verified
-					// content (artifacts change only by atomic rename).
-					if cod.attachRef != nil {
-						if ref, ok := t.store.GetRef(skey); ok {
-							cod.attachRef(v, ref)
-						}
-					}
 					outcome = "store_hit"
 					return v, cost, nil
 				}
@@ -246,13 +223,7 @@ func (t tier) getOrCompute(ctx context.Context, key anncache.Key, digestSuffix s
 				// Best effort: a full disk must not fail the session.
 				psp := obs.StartSpan(lctx, "annstore.put")
 				psp.SetAttr("kind", key.Kind)
-				if t.store.Put(skey, b) == nil && cod.attachRef != nil {
-					// The fresh artifact is durable: later sessions in
-					// this process may stream it from the file too.
-					if ref, ok := t.store.GetRef(skey); ok {
-						cod.attachRef(v, ref)
-					}
-				}
+				_ = t.store.Put(skey, b)
 				psp.End()
 			}
 		}
@@ -317,11 +288,7 @@ func (t tier) peerFill(ctx context.Context, key, skey anncache.Key, digestSuffix
 		// node survives a restart with the artifact warm.
 		psp := obs.StartSpan(ctx, "annstore.put")
 		psp.SetAttr("kind", key.Kind)
-		if t.store.Put(skey, data) == nil && cod.attachRef != nil {
-			if ref, ok := t.store.GetRef(skey); ok {
-				cod.attachRef(v, ref)
-			}
-		}
+		_ = t.store.Put(skey, data) // best effort, as in getOrCompute
 		psp.End()
 	}
 	return v, cost, true

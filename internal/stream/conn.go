@@ -1,10 +1,8 @@
 package stream
 
 import (
-	"io"
 	"math/rand"
 	"net"
-	"sync"
 	"time"
 )
 
@@ -39,38 +37,4 @@ func (c *deadlineConn) Write(p []byte) (int, error) {
 		}
 	}
 	return c.Conn.Write(p)
-}
-
-// copyBufPool recycles chunk buffers for ReadFrom fallbacks, so the
-// warm serve path never pays io.Copy's fresh 32 KiB buffer per call.
-var copyBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 64<<10)
-	return &b
-}}
-
-// onlyWriter hides a writer's ReadFrom from io.CopyBuffer so the copy
-// loop actually uses the supplied pooled buffer instead of recursing
-// into the method being implemented.
-type onlyWriter struct{ io.Writer }
-
-// ReadFrom arms the write deadline once per call and forwards to the
-// underlying connection's ReadFrom when it has one — for a
-// *net.TCPConn that is the sendfile path, moving file-backed artifact
-// bytes to the socket without dragging them through user space. Other
-// connections fall back to a pooled-buffer copy. Callers bound each
-// ReadFrom to a chunk-sized span so the single deadline covers a
-// bounded write, matching Write's per-call semantics.
-func (c *deadlineConn) ReadFrom(r io.Reader) (int64, error) {
-	if c.writeTimeout > 0 {
-		if err := c.Conn.SetWriteDeadline(time.Now().Add(c.writeTimeout)); err != nil {
-			return 0, err
-		}
-	}
-	if rf, ok := c.Conn.(io.ReaderFrom); ok {
-		return rf.ReadFrom(r)
-	}
-	bp := copyBufPool.Get().(*[]byte)
-	n, err := io.CopyBuffer(onlyWriter{c.Conn}, r, *bp)
-	copyBufPool.Put(bp)
-	return n, err
 }

@@ -2,11 +2,9 @@ package stream
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -129,23 +127,11 @@ type Server struct {
 // payload sizes for the cycle model); each frames[i].Data aliases its
 // packet's payload inside wire.
 type variant struct {
-	frames []*codec.EncodedFrame
-	wire   []byte
-	offs   []uint32
-	// ref, when set, locates wire inside a CRC-verified artifact file
-	// of the persistent store, so sessions can stream it with sendfile
-	// instead of holding the clip's bytes in user space.
-	ref         wireFileRef
+	frames      []*codec.EncodedFrame
+	wire        []byte
+	offs        []uint32
 	cyclesChunk []byte
 	scenesChunk []byte
-}
-
-// wireFileRef points at a variant's wire region inside a store
-// artifact file: the region is file [off, off+n).
-type wireFileRef struct {
-	path string
-	off  int64
-	n    int64
 }
 
 // seal builds the wire form from v.frames and re-points each frame's
@@ -572,22 +558,6 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// ReadFrom forwards to the underlying writer's ReadFrom when it has
-// one (the sendfile chain down to a TCP connection) while keeping the
-// byte count; otherwise it copies through a pooled buffer so the warm
-// path never allocates a fresh io.Copy buffer.
-func (c *countingWriter) ReadFrom(r io.Reader) (int64, error) {
-	if rf, ok := c.w.(io.ReaderFrom); ok {
-		n, err := rf.ReadFrom(r)
-		c.n += uint64(n)
-		return n, err
-	}
-	bp := copyBufPool.Get().(*[]byte)
-	n, err := io.CopyBuffer(onlyWriter{c}, r, *bp)
-	copyBufPool.Put(bp)
-	return n, err
-}
-
 // wireChunkSize bounds a single write on the zero-copy path. Chunking
 // keeps the old per-frame write semantics a stalled client depends on:
 // each chunk re-arms the connection's write deadline and observes ctx
@@ -595,32 +565,13 @@ func (c *countingWriter) ReadFrom(r io.Reader) (int64, error) {
 // a session past its timeout.
 const wireChunkSize = 256 << 10
 
-// errWireFileGone reports that a variant's backing artifact file could
-// not be opened (evicted or store closed) before any byte was written;
-// the in-memory wire is still authoritative, so callers fall back.
-var errWireFileGone = errors.New("stream: wire artifact file unavailable")
-
 // sendWire streams frames [from, to) of a sealed variant — the
-// zero-copy warm path. The bytes go out as chunked slices of v.wire
-// with no per-frame writes, copies or allocations; when the variant
-// was decoded straight from a store artifact, the chunks stream from
-// the file itself so a TCP connection can move them with sendfile.
+// zero-copy send path every session takes, warm or cold, store-hit or
+// peer-filled. The bytes go out as chunked slices of v.wire, the one
+// verified copy in memory, with no per-frame writes, copies or
+// allocations.
 func sendWire(ctx context.Context, cw *container.Writer, v *variant, from, to int, framesSent *obs.Counter) error {
-	if from >= to {
-		return nil
-	}
 	start, end := int64(v.offs[from]), int64(v.offs[to])
-	if v.ref.path != "" {
-		err := sendWireFile(ctx, cw, v.ref, start, end)
-		if err == nil {
-			framesSent.Add(uint64(to - from))
-			return nil
-		}
-		if err != errWireFileGone {
-			return err
-		}
-		// File gone before any byte moved: serve from memory instead.
-	}
 	for off := start; off < end; {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -635,36 +586,6 @@ func sendWire(ctx context.Context, cw *container.Writer, v *variant, from, to in
 		off = seg
 	}
 	framesSent.Add(uint64(to - from))
-	return nil
-}
-
-// sendWireFile streams the wire range [start, end) from the variant's
-// backing artifact file. It returns errWireFileGone only for failures
-// that happen before any byte is written (open/seek); once bytes may
-// have reached the socket, errors are final — retrying from memory
-// would duplicate data on the wire.
-func sendWireFile(ctx context.Context, cw *container.Writer, ref wireFileRef, start, end int64) error {
-	f, err := os.Open(ref.path)
-	if err != nil {
-		return errWireFileGone
-	}
-	defer f.Close()
-	if _, err := f.Seek(ref.off+start, io.SeekStart); err != nil {
-		return errWireFileGone
-	}
-	for off := start; off < end; {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		seg := end - off
-		if seg > wireChunkSize {
-			seg = wireChunkSize
-		}
-		if err := cw.ReadPacketsFrom(f, seg); err != nil {
-			return err
-		}
-		off += seg
-	}
 	return nil
 }
 
@@ -697,12 +618,11 @@ func send(ctx context.Context, w io.Writer, src core.Source, track *annotation.T
 			}
 		}
 		for i, n := from, len(v.frames); i < n; {
-			// A fixed session is one zero-copy run (each run of a
-			// file-backed variant opens its artifact file). An adaptive
-			// one serves the current rung up to the next I-frame, the
-			// only place a rung change may land: a P-frame from a
-			// different variant would reference a reconstruction the
-			// client does not have.
+			// A fixed session is one zero-copy run. An adaptive one
+			// serves the current rung up to the next I-frame, the only
+			// place a rung change may land: a P-frame from a different
+			// variant would reference a reconstruction the client does
+			// not have.
 			j := n
 			if lad != nil {
 				j = i + 1

@@ -168,3 +168,52 @@ func TestStoreCorruptionFallsBackToCompute(t *testing.T) {
 		t.Error("corrupt artifacts were not quarantined")
 	}
 }
+
+// TestDamagedStoreFileNeverReachesWarmSessions damages a cached
+// variant's artifact file in place — same size, bytes flipped mid-file,
+// no rename — after a session has cached it. Later sessions must keep
+// serving the CRC-verified wire held in memory, bit-identically; no
+// send path may read the artifact file back behind the store's checks.
+func TestDamagedStoreFileNeverReachesWarmSessions(t *testing.T) {
+	dir := t.TempDir()
+	s, st, _, addr := startStoreServer(t, dir)
+	defer s.Close()
+	defer st.Close()
+
+	first := playDigests(t, addr, 0.10, nil)
+
+	paths, err := filepath.Glob(filepath.Join(dir, "objects", "variant-*.art"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no variant artifact on disk to damage")
+	}
+	for _, path := range paths {
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fi, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 64)
+		mid := fi.Size() / 2
+		if _, err := f.ReadAt(buf, mid); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] ^= 0xFF
+		}
+		if _, err := f.WriteAt(buf, mid); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	again := playDigests(t, addr, 0.10, nil)
+	assertSameDigests(t, first, again, "session after in-place store damage")
+}

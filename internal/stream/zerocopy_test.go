@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/annotation"
@@ -22,9 +20,9 @@ import (
 // byte-for-byte indistinguishable from the writer it replaced: header
 // via container.NewWriter, then one Writer.WriteFrame per packet. The
 // tests here pin that equivalence for every serving shape — fixed
-// quality, resume, device levels, adaptive markers, raw mode, store
-// round trips and file-backed (sendfile) serving — and gate the alloc
-// and caching properties the fast path exists for.
+// quality, resume, device levels, adaptive markers, raw mode and store
+// round trips — and gate the alloc and caching properties the fast path
+// exists for.
 
 // buildServingFixture computes the track and one prepared variant of
 // the test clip, exactly as a server session would.
@@ -133,11 +131,9 @@ func TestSendVariantMatchesReferenceWriter(t *testing.T) {
 }
 
 // TestSendVariantStoreRoundTripMatchesReference serves a variant that
-// went through the artifact serialisation — first from its in-memory
-// aliased wire, then from the artifact file on disk (the sendfile
-// path), then with a dangling file ref (fallback) — and requires all
-// three to equal the reference writer's bytes, for an annotated
-// variant and for a raw one.
+// went through the artifact serialisation, from its in-memory aliased
+// wire, and requires it to equal the reference writer's bytes, for an
+// annotated variant and for a raw one.
 func TestSendVariantStoreRoundTripMatchesReference(t *testing.T) {
 	src, track, v, cfg, _ := buildServingFixture(t)
 	raw, err := prepareVariant(context.Background(), src, nil, -1, cfg)
@@ -175,26 +171,6 @@ func TestSendVariantStoreRoundTripMatchesReference(t *testing.T) {
 			}
 			if got := serve(t, dv); !bytes.Equal(got, tc.want) {
 				t.Fatal("store round-tripped variant served different bytes")
-			}
-
-			// File-backed: the wire region sits variantWirePrefix bytes
-			// into the artifact; serving must stream it from the file
-			// bit-identically.
-			path := filepath.Join(t.TempDir(), "variant.art")
-			if err := os.WriteFile(path, art, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			dv.ref = wireFileRef{path: path, off: variantWirePrefix, n: int64(len(dv.wire))}
-			if got := serve(t, dv); !bytes.Equal(got, tc.want) {
-				t.Fatal("file-backed variant served different bytes")
-			}
-
-			// A vanished artifact file (evicted store entry) must fall
-			// back to the in-memory wire before any byte is written, not
-			// fail the session.
-			dv.ref.path = filepath.Join(t.TempDir(), "gone.art")
-			if got := serve(t, dv); !bytes.Equal(got, tc.want) {
-				t.Fatal("fallback after missing artifact file served different bytes")
 			}
 		})
 	}
