@@ -67,6 +67,9 @@ type Encoder struct {
 	spare  *Picture
 	bw     BitWriter
 	search searcher
+	// chromaPad holds ref's Cb and Cr planes edge-padded for the
+	// residual prediction; the searcher holds its luma.
+	chromaPad [2]padded
 }
 
 // NewEncoder returns an encoder for w×h frames with an I-frame every gop
@@ -80,6 +83,12 @@ func NewEncoder(w, h, gop, qscale int) (*Encoder, error) {
 	}
 	return &Encoder{W: w, H: h, GOP: gop, QScale: clampQScale(qscale), cur: NewPicture(w, h)}, nil
 }
+
+// Restart makes the next frame the first of a new GOP: an I-frame, coded
+// as a new encoder would code it, since an I-frame reads no reference.
+// The encoder keeps its buffers, so one encoder can code many GOPs in
+// any order.
+func (e *Encoder) Restart() { e.count = 0 }
 
 // Encode compresses the next frame of the sequence.
 func (e *Encoder) Encode(f *frame.Frame) (*EncodedFrame, error) {
@@ -109,7 +118,9 @@ func (e *Encoder) Encode(f *frame.Frame) (*EncodedFrame, error) {
 		encodeIntraPlane(w, e.cur.Cr, recon.Cr, e.QScale)
 	} else {
 		e.search.load(e.cur.Y, e.ref.Y)
-		encodePredicted(w, e.cur, e.ref, recon, &e.search, e.QScale)
+		e.chromaPad[0].load(e.ref.Cb)
+		e.chromaPad[1].load(e.ref.Cr)
+		encodePredicted(w, e.cur, e.ref, recon, &e.search, &e.chromaPad, e.QScale)
 	}
 	e.ref, e.spare = recon, e.ref
 	data := append([]byte(nil), w.Bytes()...)
@@ -251,28 +262,10 @@ func decodeIntraPlane(r *BitReader, dst *Plane, qscale int) error {
 // vector of (3, -2) means 1.5 pixels right, 1 pixel up.
 type motionVector struct{ X, Y int }
 
-// halfPelSample reads the reference plane at half-pel position (hx, hy)
-// (units of half pixels), bilinearly averaging the straddled samples.
-func halfPelSample(p *Plane, hx, hy int) int {
-	x, y := hx>>1, hy>>1
-	fx, fy := hx&1, hy&1
-	switch {
-	case fx == 0 && fy == 0:
-		return int(p.At(x, y))
-	case fy == 0:
-		return (int(p.At(x, y)) + int(p.At(x+1, y)) + 1) / 2
-	case fx == 0:
-		return (int(p.At(x, y)) + int(p.At(x, y+1)) + 1) / 2
-	default:
-		return (int(p.At(x, y)) + int(p.At(x+1, y)) +
-			int(p.At(x, y+1)) + int(p.At(x+1, y+1)) + 2) / 4
-	}
-}
-
-// halfPelRow predicts len(p) consecutive samples as halfPelSample does,
-// with its four averaging cases written out per row: r0 is the reference
-// row the vector lands on and r1 the row below, both from the first
-// sample read on.
+// halfPelRow predicts len(p) consecutive samples at a half-pel vector,
+// bilinearly averaging the straddled reference samples: fx and fy are the
+// vector's half-pel bits, r0 is the reference row the vector lands on and
+// r1 the row below, both from the first sample read on.
 func halfPelRow(p []int, r0, r1 []uint8, fx, fy int) {
 	r0, r1 = r0[:len(p)+1], r1[:len(p)+1]
 	switch {
@@ -296,8 +289,9 @@ func halfPelRow(p []int, r0, r1 []uint8, fx, fy int) {
 }
 
 // encodePredicted codes cur against ref into rec; s holds cur's and
-// ref's luma, padded, for the motion search.
-func encodePredicted(w *BitWriter, cur, ref, rec *Picture, s *searcher, qscale int) {
+// ref's luma, padded, for the motion search, and chroma ref's Cb and Cr,
+// padded.
+func encodePredicted(w *BitWriter, cur, ref, rec *Picture, s *searcher, chroma *[2]padded, qscale int) {
 	for my := 0; my < cur.Y.H; my += MBSize {
 		for mx := 0; mx < cur.Y.W; mx += MBSize {
 			// Skip decision first: a static macroblock costs one SAD,
@@ -315,16 +309,16 @@ func encodePredicted(w *BitWriter, cur, ref, rec *Picture, s *searcher, qscale i
 			// Luma: four 8×8 residual blocks.
 			for dy := 0; dy < MBSize; dy += BlockSize {
 				for dx := 0; dx < MBSize; dx += BlockSize {
-					codeResidualBlock(w, cur.Y, ref.Y, rec.Y,
+					codeResidualBlock(w, cur.Y, &s.ref, rec.Y,
 						mx+dx, my+dy, mv.X, mv.Y, qscale)
 				}
 			}
 			// Chroma: one 8×8 block per component at half resolution;
 			// the luma half-pel vector becomes a chroma half-pel vector
 			// of half the magnitude.
-			codeResidualBlock(w, cur.Cb, ref.Cb, rec.Cb,
+			codeResidualBlock(w, cur.Cb, &chroma[0], rec.Cb,
 				mx/2, my/2, mv.X/2, mv.Y/2, qscale)
-			codeResidualBlock(w, cur.Cr, ref.Cr, rec.Cr,
+			codeResidualBlock(w, cur.Cr, &chroma[1], rec.Cr,
 				mx/2, my/2, mv.X/2, mv.Y/2, qscale)
 		}
 	}
@@ -426,14 +420,85 @@ func padPlane(dst []uint8, p *Plane, stride int) []uint8 {
 // current and reference luma, so every candidate (including those
 // reaching past the frame) reads plain rows, and every SAD equals the
 // clamped one.
+//
+// Candidates are pruned by successive elimination (Li & Salari, IEEE
+// TIP 1995): a macroblock is four 16×4 strips, and since
+// |Σa − Σb| ≤ Σ|a − b|, the strip sums of the current macroblock and a
+// candidate bound the candidate's SAD from below. strips holds the sum
+// of every 16×4 strip of the padded reference, indexed by the offset of
+// its top-left sample; it is built on the first search after each load,
+// so a frame of skipped macroblocks never builds it.
 type searcher struct {
 	cur, ref padded
+	strips   []uint16 // at most 16·4·255, so a sum fits
+	rowSums  []uint16 // scratch: 16-sample row sums of ref
+	stripsOK bool
 }
+
+// stripRows is the height of a successive-elimination strip.
+const stripRows = 4
 
 // load fills the padded planes from cur and ref, which share dimensions.
 func (s *searcher) load(cur, ref *Plane) {
 	s.cur.load(cur)
 	s.ref.load(ref)
+	s.stripsOK = false
+}
+
+// buildStrips fills strips from the padded reference: each row's sliding
+// 16-sample sums first, then four of those stacked. A candidate's strips
+// lie within SearchRange of a macroblock, well inside the padding, so
+// the entries past a row's or the plane's last whole strip, which keep
+// stale sums, are never read.
+func (s *searcher) buildStrips() {
+	pix, stride := s.ref.pix, s.ref.stride
+	n := len(pix)
+	if cap(s.strips) < n {
+		s.strips, s.rowSums = make([]uint16, n), make([]uint16, n)
+	}
+	strips, rowSums := s.strips[:n], s.rowSums[:n]
+	for o := 0; o < n; o += stride {
+		row, out := pix[o:o+stride], rowSums[o:o+stride]
+		sum := 0
+		for _, v := range row[:MBSize] {
+			sum += int(v)
+		}
+		out[0] = uint16(sum)
+		for x := 1; x+MBSize <= stride; x++ {
+			sum += int(row[x+MBSize-1]) - int(row[x-1])
+			out[x] = uint16(sum)
+		}
+	}
+	for o := 0; o+(stripRows-1)*stride < n; o++ {
+		strips[o] = rowSums[o] + rowSums[o+stride] + rowSums[o+2*stride] + rowSums[o+3*stride]
+	}
+	s.stripsOK = true
+}
+
+// curStrips returns the four strip sums of the current macroblock at
+// offset co.
+func (s *searcher) curStrips(co int) (cs [MBSize / stripRows]int) {
+	for k := range cs {
+		o := co + k*stripRows*s.cur.stride
+		for y := 0; y < stripRows; y++ {
+			for _, v := range s.cur.pix[o : o+MBSize] {
+				cs[k] += int(v)
+			}
+			o += s.cur.stride
+		}
+	}
+	return cs
+}
+
+// stripBound is the successive-elimination lower bound on the SAD of the
+// current macroblock, whose strip sums are cs, against the reference
+// macroblock at offset ro.
+func (s *searcher) stripBound(cs *[MBSize / stripRows]int, ro int) int {
+	lb := 0
+	for k, c := range cs {
+		lb += absInt(c - int(s.strips[ro+k*stripRows*s.ref.stride]))
+	}
+	return lb
 }
 
 // zeroSAD is the luma SAD of the macroblock at (mx, my) against the
@@ -446,12 +511,17 @@ func (s *searcher) zeroSAD(mx, my int) int {
 // search finds the motion vector minimising luma SAD at (mx,my): an
 // exhaustive full-pel search over ±SearchRange followed by a half-pel
 // refinement of the winner's eight neighbours. zero is the zero vector's
-// SAD. A candidate replaces the best only when strictly smaller, so each
-// one stops as soon as it reaches the best so far without changing the
+// SAD. A candidate replaces the best only when strictly smaller, so one
+// whose strip bound already reaches the best so far is skipped, and each
+// SAD stops as soon as it reaches the best so far, without changing the
 // outcome. It returns the best half-pel vector.
 func (s *searcher) search(mx, my, zero int) motionVector {
+	if !s.stripsOK {
+		s.buildStrips()
+	}
 	co := s.cur.at(mx, my)
 	stride := s.cur.stride
+	cs := s.curStrips(co)
 	bestFull := motionVector{}
 	bestSAD := zero
 	for vy := -SearchRange; vy <= SearchRange; vy++ {
@@ -461,7 +531,11 @@ func (s *searcher) search(mx, my, zero int) motionVector {
 			}
 			// Bias toward shorter vectors to stabilise the field.
 			bias := 4 * (absInt(vx) + absInt(vy))
-			if sad := sadFull(s.cur.pix, s.ref.pix, co, co+vy*stride+vx, stride, bias, bestSAD); sad < bestSAD {
+			ro := co + vy*stride + vx
+			if bias+s.stripBound(&cs, ro) >= bestSAD {
+				continue
+			}
+			if sad := sadFull(s.cur.pix, s.ref.pix, co, ro, stride, bias, bestSAD); sad < bestSAD {
 				bestSAD = sad
 				bestFull = motionVector{vx, vy}
 			}
@@ -573,25 +647,40 @@ func copyTile(dst, ref *Plane, x0, y0, n int) {
 }
 
 // codeResidualBlock transforms and writes one 8×8 motion-compensated
-// residual (half-pel vector hvx/hvy), reconstructing into rec.
-func codeResidualBlock(w *BitWriter, cur, ref, rec *Plane, bx, by, hvx, hvy, qscale int) {
+// residual of the block at (bx, by) of cur against ref, padded, at
+// half-pel vector (hvx, hvy), and reconstructs the block into rec. The
+// prediction is computed once, as the decoder's predictBlock computes it.
+func codeResidualBlock(w *BitWriter, cur *Plane, ref *padded, rec *Plane, bx, by, hvx, hvy, qscale int) {
 	var res, coef Block
 	var levels [BlockSize * BlockSize]int32
-	for y := 0; y < BlockSize; y++ {
-		for x := 0; x < BlockSize; x++ {
-			pred := halfPelSample(ref, 2*(bx+x)+hvx, 2*(by+y)+hvy)
-			res[y*BlockSize+x] = float64(int(cur.At(bx+x, by+y)) - pred)
+	var pred [BlockSize][BlockSize]int
+	ro := ref.at(bx+(hvx>>1), by+(hvy>>1))
+	fx, fy := hvx&1, hvy&1
+	loadBlock(cur, bx, by, &res, 0)
+	for y := range pred {
+		halfPelRow(pred[y][:], ref.pix[ro:], ref.pix[ro+ref.stride:], fx, fy)
+		r := res.row(y)
+		for x, p := range pred[y] {
+			r[x] -= float64(p)
 		}
+		ro += ref.stride
 	}
 	FDCT(&res, &coef)
 	quantize(&coef, &levels, false, qscale)
 	writeBlock(w, &levels)
 	dequantize(&levels, &coef, false, qscale)
 	IDCT(&coef, &res)
-	for y := 0; y < BlockSize; y++ {
-		for x := 0; x < BlockSize; x++ {
-			pred := halfPelSample(ref, 2*(bx+x)+hvx, 2*(by+y)+hvy)
-			rec.Set(bx+x, by+y, clampSample(float64(pred)+res[y*BlockSize+x]))
+	// A block past the plane's right or bottom edge (a partial edge
+	// macroblock's) is coded but has no sample to reconstruct.
+	bw, bh := min(BlockSize, rec.W-bx), min(BlockSize, rec.H-by)
+	if bw <= 0 {
+		return
+	}
+	for y := 0; y < bh; y++ {
+		out := rec.Pix[(by+y)*rec.W+bx:][:bw]
+		r := res.row(y)
+		for x := range out {
+			out[x] = clampSample(float64(pred[y][x]) + r[x])
 		}
 	}
 }

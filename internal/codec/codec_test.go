@@ -1,7 +1,9 @@
 package codec
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -483,5 +485,131 @@ func TestHalfPelImprovesOrMatchesSubPixelMotion(t *testing.T) {
 		if psnr := src.PSNR(got); psnr < 28 {
 			t.Errorf("frame %d PSNR = %.1f with sub-pixel motion", i, psnr)
 		}
+	}
+}
+
+// halfPelSample is the reference model of the half-pel prediction: it
+// reads p at half-pel position (hx, hy) (units of half pixels) through
+// Plane.At's clamping, bilinearly averaging the straddled samples. The
+// padded prediction (halfPelRow over padded planes) must match it.
+func halfPelSample(p *Plane, hx, hy int) int {
+	x, y := hx>>1, hy>>1
+	fx, fy := hx&1, hy&1
+	switch {
+	case fx == 0 && fy == 0:
+		return int(p.At(x, y))
+	case fy == 0:
+		return (int(p.At(x, y)) + int(p.At(x+1, y)) + 1) / 2
+	case fx == 0:
+		return (int(p.At(x, y)) + int(p.At(x, y+1)) + 1) / 2
+	default:
+		return (int(p.At(x, y)) + int(p.At(x+1, y)) +
+			int(p.At(x, y+1)) + int(p.At(x+1, y+1)) + 2) / 4
+	}
+}
+
+// TestRestartedEncoderMatchesFresh: after Restart, an encoder that has
+// coded another GOP codes the next one byte for byte as a new encoder
+// does. The GOPs go in reverse order, partial last GOP first, so the
+// restarted encoder always carries state from a later GOP.
+func TestRestartedEncoderMatchesFresh(t *testing.T) {
+	const gop = 5
+	for _, sz := range [][2]int{{8, 8}, {37, 29}, {48, 32}} {
+		w, h := sz[0], sz[1]
+		c := goldenClip(w, h)
+		n := c.TotalFrames()
+		reused, err := NewEncoder(w, h, gop, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for start := (n - 1) / gop * gop; start >= 0; start -= gop {
+			fresh, err := NewEncoder(w, h, gop, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reused.Restart()
+			for i := start; i < min(start+gop, n); i++ {
+				want, err := fresh.Encode(c.Frame(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := reused.Encode(c.Frame(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Type != want.Type || got.QScale != want.QScale || !bytes.Equal(got.Data, want.Data) {
+					t.Fatalf("%dx%d frame %d: restarted encoder coded %v/%d bytes, fresh %v/%d",
+						w, h, i, got.Type, len(got.Data), want.Type, len(want.Data))
+				}
+			}
+		}
+	}
+}
+
+// TestStripBoundNeverExceedsSAD: the successive-elimination bound of
+// every candidate is exactly Σ|cur strip − ref strip| and never exceeds
+// the candidate's SAD, over random planes of random sizes and every
+// vector of the search window, so candidates reaching into the padded
+// margin are covered. Pruning by it therefore cannot skip a winner.
+func TestStripBoundNeverExceedsSAD(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	stripSum := func(pix []uint8, o, stride int) int {
+		sum := 0
+		for y := 0; y < stripRows; y++ {
+			for x := 0; x < MBSize; x++ {
+				sum += int(pix[o+y*stride+x])
+			}
+		}
+		return sum
+	}
+	var checked, tight int
+	for trial := 0; trial < 60; trial++ {
+		w, h := 1+rng.Intn(60), 1+rng.Intn(40)
+		cur, ref := NewPlane(w, h), NewPlane(w, h)
+		// A narrow sample range makes strip sums close and the bound
+		// tight; a wide one makes it loose.
+		lo := rng.Intn(256)
+		span := 1 + rng.Intn(256-lo)
+		for i := range cur.Pix {
+			cur.Pix[i] = uint8(lo + rng.Intn(span))
+			ref.Pix[i] = uint8(lo + rng.Intn(span))
+		}
+		var s searcher
+		s.load(cur, ref)
+		s.buildStrips()
+		stride := s.cur.stride
+		for my := 0; my < h; my += MBSize {
+			for mx := 0; mx < w; mx += MBSize {
+				co := s.cur.at(mx, my)
+				cs := s.curStrips(co)
+				for vy := -SearchRange; vy <= SearchRange; vy++ {
+					for vx := -SearchRange; vx <= SearchRange; vx++ {
+						ro := co + vy*stride + vx
+						want := 0
+						for k := 0; k < MBSize/stripRows; k++ {
+							o := k * stripRows * stride
+							want += absInt(stripSum(s.cur.pix, co+o, stride) - stripSum(s.ref.pix, ro+o, stride))
+						}
+						lb := s.stripBound(&cs, ro)
+						if lb != want {
+							t.Fatalf("%dx%d mb (%d,%d) v (%d,%d): bound %d, want %d", w, h, mx, my, vx, vy, lb, want)
+						}
+						sad := sadFull(s.cur.pix, s.ref.pix, co, ro, stride, 0, math.MaxInt)
+						if lb > sad {
+							t.Fatalf("%dx%d mb (%d,%d) v (%d,%d): bound %d exceeds SAD %d", w, h, mx, my, vx, vy, lb, sad)
+						}
+						checked++
+						if lb*2 > sad {
+							tight++
+						}
+					}
+				}
+			}
+		}
+	}
+	// The bound must also be worth computing: on some candidates it
+	// comes within a factor two of the SAD.
+	if tight == 0 {
+		t.Errorf("bound never within 2x of the SAD over %d candidates", checked)
 	}
 }

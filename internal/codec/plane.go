@@ -74,33 +74,26 @@ func FromFrame(f *frame.Frame) *Picture {
 }
 
 // fromFrameInto is FromFrame into a picture of f's size; it writes every
-// sample, so pic may hold a previous frame.
+// sample, so pic may hold a previous frame. One pass over the 2×2 quads
+// converts each pixel once, writing its luma and summing its chroma
+// into the quad's average. Every quad holds at least its top-left pixel.
 func fromFrameInto(f *frame.Frame, pic *Picture) {
-	for y := 0; y < f.H; y++ {
-		for x := 0; x < f.W; x++ {
-			yc := pixel.ToYCbCr(f.At(x, y))
-			pic.Y.Set(x, y, yc.Y)
-		}
-	}
+	w := f.W
 	for cy := 0; cy < pic.Cb.H; cy++ {
 		for cx := 0; cx < pic.Cb.W; cx++ {
 			var cb, cr, n int
-			for dy := 0; dy < 2; dy++ {
-				for dx := 0; dx < 2; dx++ {
-					x, y := cx*2+dx, cy*2+dy
-					if x >= f.W || y >= f.H {
-						continue
-					}
-					yc := pixel.ToYCbCr(f.At(x, y))
+			for y := 2 * cy; y < min(2*cy+2, f.H); y++ {
+				for x := 2 * cx; x < min(2*cx+2, w); x++ {
+					yc := pixel.ToYCbCr(f.Pix[y*w+x])
+					pic.Y.Pix[y*w+x] = yc.Y
 					cb += int(yc.Cb)
 					cr += int(yc.Cr)
 					n++
 				}
 			}
-			if n > 0 {
-				pic.Cb.Set(cx, cy, uint8((cb+n/2)/n))
-				pic.Cr.Set(cx, cy, uint8((cr+n/2)/n))
-			}
+			o := cy*pic.Cb.W + cx
+			pic.Cb.Pix[o] = uint8((cb + n/2) / n)
+			pic.Cr.Pix[o] = uint8((cr + n/2) / n)
 		}
 	}
 }

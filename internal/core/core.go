@@ -236,12 +236,25 @@ func serverPlan(target float64, level int) compensate.Plan {
 // for a scene with the given target: contrast enhancement by 1/target.
 // Exposed for the stream/proxy pipeline and the camera validation flow.
 func CompensateFrame(f *frame.Frame, target float64, m compensate.Method) *frame.Frame {
+	return compensationPlan(target).Compensated(m, f)
+}
+
+// CompensateFrameInto is CompensateFrame into dst, a frame of f's size,
+// which it overwrites; f is left untouched. An encoder that compensates
+// a clip frame by frame reuses one dst.
+func CompensateFrameInto(dst, f *frame.Frame, target float64, m compensate.Method) {
+	copy(dst.Pix, f.Pix)
+	compensationPlan(target).Apply(m, dst)
+}
+
+// compensationPlan is the device-independent plan for a scene target:
+// contrast enhancement by 1/target.
+func compensationPlan(target float64) compensate.Plan {
 	k := 1.0
 	if target > 0 {
 		k = 1 / target
 	}
-	plan := compensate.Plan{Target: target, K: k, Delta: (1 - target) * 255}
-	return plan.Compensated(m, f)
+	return compensate.Plan{Target: target, K: k, Delta: (1 - target) * 255}
 }
 
 // Sweep runs Play across all the track's quality levels and returns one

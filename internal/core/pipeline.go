@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/annotation"
+	"repro/internal/frame"
 	"repro/internal/obs"
 	"repro/internal/scene"
 )
@@ -52,13 +53,7 @@ func AnnotatePipeline(ctx context.Context, src Source, cfg scene.Config, quality
 		}
 		sp.End()
 
-		sp = obs.StartSpan(ctx, "annotate.scene_detect")
-		det := scene.NewDetector(cfg)
-		for _, st := range stats {
-			det.Feed(st)
-		}
-		scenes = det.Finish()
-		sp.End()
+		scenes = detectScenes(ctx, cfg, stats)
 	} else {
 		// The two stages overlap, so both spans cover the fused region;
 		// each still records exactly once per run, like the sequential
@@ -114,13 +109,46 @@ func AnnotatePipeline(ctx context.Context, src Source, cfg scene.Config, quality
 		}
 	}
 
+	return buildTrack(ctx, src.FPS(), scenes, stats, quality, workers)
+}
+
+// AnnotateFromStats is AnnotatePipeline from the per-frame statistics
+// its first stage would compute, as DigestAndStats returns them: it
+// detects scenes and builds the track, and renders no frame. The output
+// equals AnnotatePipeline's on the source the stats came from.
+func AnnotateFromStats(ctx context.Context, fps int, stats []scene.FrameStats, cfg scene.Config, quality []float64, opt AnnotateOptions) (*annotation.Track, []scene.Scene, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if len(stats) == 0 {
+		return nil, nil, fmt.Errorf("core: empty source")
+	}
+	scenes := detectScenes(ctx, cfg, stats)
+	return buildTrack(ctx, fps, scenes, stats, quality, min(opt.Workers, len(stats)))
+}
+
+// detectScenes feeds the per-frame statistics to the scene detector in
+// frame order.
+func detectScenes(ctx context.Context, cfg scene.Config, stats []scene.FrameStats) []scene.Scene {
+	sp := obs.StartSpan(ctx, "annotate.scene_detect")
+	defer sp.End()
+	det := scene.NewDetector(cfg)
+	for _, st := range stats {
+		det.Feed(st)
+	}
+	return det.Finish()
+}
+
+// buildTrack is the pipeline's last stage: the track from the detected
+// scenes and per-frame statistics, fanned out over workers.
+func buildTrack(ctx context.Context, fps int, scenes []scene.Scene, stats []scene.FrameStats, quality []float64, workers int) (*annotation.Track, []scene.Scene, error) {
 	sp := obs.StartSpan(ctx, "annotate.build_track")
-	track := annotation.FromStatsParallel(src.FPS(), scenes, stats, quality, workers)
+	track := annotation.FromStatsParallel(fps, scenes, stats, quality, workers)
 	sp.End()
 
 	if r := obs.FromContext(ctx); r != nil {
 		r.Counter("pipeline_frames_processed_total",
-			"Frames analysed by the offline annotation pass.").Add(uint64(n))
+			"Frames analysed by the offline annotation pass.").Add(uint64(len(stats)))
 		r.Counter("pipeline_scenes_detected_total",
 			"Scenes found by the offline annotation pass.").Add(uint64(len(scenes)))
 	}
@@ -133,6 +161,22 @@ func AnnotatePipeline(ctx context.Context, src Source, cfg scene.Config, quality
 // compensated variants, which is what lets caches key on content rather
 // than on clip names.
 func SourceDigest(src Source) string {
+	return digestFrames(src, nil)
+}
+
+// DigestAndStats is SourceDigest that also computes every frame's
+// scene.StatsOf from the same render, the annotate pass's first stage.
+// AnnotateFromStats takes the stats on, so a cold source renders once
+// for its digest and its track together.
+func DigestAndStats(src Source) (string, []scene.FrameStats) {
+	stats := make([]scene.FrameStats, 0, src.TotalFrames())
+	d := digestFrames(src, func(f *frame.Frame) { stats = append(stats, scene.StatsOf(f)) })
+	return d, stats
+}
+
+// digestFrames is SourceDigest, handing each rendered frame to each
+// when it is not nil.
+func digestFrames(src Source, each func(*frame.Frame)) string {
 	h := fnv.New64a()
 	w, ht := src.Size()
 	var buf [8]byte
@@ -148,6 +192,9 @@ func SourceDigest(src Source) string {
 	luma := make([]uint8, 0, w*ht)
 	for i := 0; i < n; i++ {
 		f := src.Frame(i)
+		if each != nil {
+			each(f)
+		}
 		luma = luma[:0]
 		for _, p := range f.Pix {
 			luma = append(luma, p.Luma8())

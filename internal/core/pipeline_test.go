@@ -6,6 +6,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/scene"
 	"repro/internal/video"
 )
@@ -83,4 +84,51 @@ func TestSourceDigest(t *testing.T) {
 	if SourceDigest(a) == SourceDigest(other) {
 		t.Fatal("different content must digest differently")
 	}
+}
+
+// TestAnnotateFromDigestStats: the digest pass's stats give the same
+// digest as SourceDigest and, through AnnotateFromStats, the same track
+// and scenes as AnnotatePipeline, while rendering each frame once.
+func TestAnnotateFromDigestStats(t *testing.T) {
+	c := pipelineClip()
+	cfg := scene.DefaultConfig(c.FPS)
+	ctx := context.Background()
+	want, wantScenes, err := AnnotatePipeline(ctx, ClipSource{c}, cfg, nil, AnnotateOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &countingSource{Source: ClipSource{c}}
+	digest, stats := DigestAndStats(src)
+	if digest != SourceDigest(ClipSource{c}) {
+		t.Errorf("DigestAndStats digest %s, SourceDigest %s", digest, SourceDigest(ClipSource{c}))
+	}
+	for _, workers := range []int{1, 4} {
+		got, scenes, err := AnnotateFromStats(ctx, c.FPS, stats, cfg, nil, AnnotateOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Encode(), want.Encode()) {
+			t.Errorf("workers=%d: track from digest stats differs from AnnotatePipeline's", workers)
+		}
+		if len(scenes) != len(wantScenes) {
+			t.Errorf("workers=%d: %d scenes, want %d", workers, len(scenes), len(wantScenes))
+		}
+	}
+	if src.renders != c.TotalFrames() {
+		t.Errorf("%d renders for a %d-frame clip, want one each", src.renders, c.TotalFrames())
+	}
+	if _, _, err := AnnotateFromStats(ctx, c.FPS, nil, cfg, nil, AnnotateOptions{}); err == nil {
+		t.Error("AnnotateFromStats accepted no stats")
+	}
+}
+
+// countingSource counts the frames it renders.
+type countingSource struct {
+	Source
+	renders int
+}
+
+func (s *countingSource) Frame(i int) *frame.Frame {
+	s.renders++
+	return s.Source.Frame(i)
 }

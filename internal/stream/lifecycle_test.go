@@ -89,11 +89,12 @@ func TestProxyShutdownStopsRecoveryProber(t *testing.T) {
 	}
 }
 
-// TestZeroCopyServeSurvivesStoreEviction is the GetRef-vs-eviction
-// race: sessions streaming a variant straight from its store file while
-// the LRU evicts that file must either finish from the still-open file
-// or fall back to the in-memory wire before the first byte — never a
-// short or corrupt stream.
+// TestZeroCopyServeSurvivesStoreEviction: a store eviction does not
+// disturb in-memory serving. Sessions stream a cached variant from its
+// sealed in-memory wire while an over-budget Put makes the store's LRU
+// delete that variant's file; every session, and one started after the
+// eviction, must get the bit-identical stream — never a short or corrupt
+// one.
 func TestZeroCopyServeSurvivesStoreEviction(t *testing.T) {
 	st, err := annstore.Open(t.TempDir(), annstore.Options{MaxBytes: 1 << 20})
 	if err != nil {
@@ -109,8 +110,8 @@ func TestZeroCopyServeSurvivesStoreEviction(t *testing.T) {
 	}
 	t.Cleanup(s.Close)
 
-	// First play computes the variant and writes it through; later
-	// sessions serve its wire region from the store file.
+	// First play computes the variant and writes it through to the
+	// store; later sessions serve it from the memory cache's wire.
 	ref := playDigests(t, addr.String(), 0.10, nil)
 
 	const sessions = 6
@@ -160,7 +161,7 @@ func TestZeroCopyServeSurvivesStoreEviction(t *testing.T) {
 		_ = i
 	}
 	// The variant's file is gone; a fresh session must still be served
-	// bit-identically from the memory fallback.
+	// bit-identically from memory.
 	if _, ok := st.GetRef(anncache.Key{Kind: "variant", Digest: "nonexistent", Quality: 0}); ok {
 		t.Fatal("GetRef invented a ref for a missing key")
 	}

@@ -520,11 +520,25 @@ func (n *nodeCore) resolveArtifact(ctx context.Context, req cluster.FetchRequest
 // an uncached clip share one pipeline run via single-flight, and in a
 // cluster the track's shard owner is asked before the pipeline runs.
 func (n *nodeCore) track(ctx context.Context, clip, digest string, src core.Source) (*annotation.Track, error) {
+	return n.trackFrom(ctx, clip, digest, src, nil)
+}
+
+// trackFrom is track for a clip whose per-frame scene statistics this
+// request already computed with its digest: a compute then skips the
+// pipeline's stats stage and renders no frame. With nil stats (the
+// digest was memoised) the full pipeline runs.
+func (n *nodeCore) trackFrom(ctx context.Context, clip, digest string, src core.Source, stats []scene.FrameStats) (*annotation.Track, error) {
 	v, err := n.tierFor(clip).getOrCompute(ctx,
 		anncache.Key{Kind: "track", Digest: digest, Quality: -1}, "", trackCodec,
 		func(ctx context.Context) (any, int64, error) {
-			t, _, err := core.AnnotatePipeline(ctx, src, scene.DefaultConfig(src.FPS()), nil,
-				core.AnnotateOptions{Workers: n.annWorkers})
+			cfg, opt := scene.DefaultConfig(src.FPS()), core.AnnotateOptions{Workers: n.annWorkers}
+			var t *annotation.Track
+			var err error
+			if stats != nil {
+				t, _, err = core.AnnotateFromStats(ctx, src.FPS(), stats, cfg, nil, opt)
+			} else {
+				t, _, err = core.AnnotatePipeline(ctx, src, cfg, nil, opt)
+			}
 			if err != nil {
 				return nil, 0, err
 			}

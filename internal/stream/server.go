@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,9 +19,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/display"
 	"repro/internal/dvs"
+	"repro/internal/frame"
 	"repro/internal/netsched"
 	"repro/internal/obs"
 	"repro/internal/power"
+	"repro/internal/scene"
 )
 
 // DefaultCacheCapacity is the artifact-cache byte budget servers and
@@ -260,7 +263,8 @@ func (s *Server) open(ctx context.Context, req Request) (nodeClip, error) {
 	if !ok {
 		return nodeClip{}, fmt.Errorf("unknown clip %q", req.Clip)
 	}
-	return s.clip(ctx, req.Clip, s.digestOf(req.Clip, src), src), nil
+	digest, stats := s.digestStats(req.Clip, src)
+	return s.clip(ctx, req.Clip, digest, src, stats), nil
 }
 
 // byDigest maps the content digest a peer's AFR1 fetch names back to a
@@ -272,41 +276,60 @@ func (s *Server) open(ctx context.Context, req Request) (nodeClip, error) {
 // its content matches.
 func (s *Server) byDigest(ctx context.Context, req cluster.FetchRequest) (nodeClip, error) {
 	if src, ok := s.catalog[req.Clip]; ok && s.digestOf(req.Clip, src) == req.Digest {
-		return s.clip(ctx, req.Clip, req.Digest, src), nil
+		return s.clip(ctx, req.Clip, req.Digest, src, nil), nil
 	}
 	for name, src := range s.catalog {
 		if s.digestOf(name, src) == req.Digest {
-			return s.clip(ctx, name, req.Digest, src), nil
+			return s.clip(ctx, name, req.Digest, src, nil), nil
 		}
 	}
 	return nodeClip{}, fmt.Errorf("%w: no catalog clip with digest %.16s", cluster.ErrNotFound, req.Digest)
 }
 
-// clip wraps a catalog clip; its track is computed on first use.
-func (s *Server) clip(ctx context.Context, name, digest string, src core.Source) nodeClip {
+// clip wraps a catalog clip; its track is computed on first use, from
+// stats when this request's digest pass computed them (see digestStats).
+func (s *Server) clip(ctx context.Context, name, digest string, src core.Source, stats []scene.FrameStats) nodeClip {
 	return nodeClip{name: name, src: src, digest: digest, track: func() (*annotation.Track, error) {
-		return s.track(ctx, name, digest, src)
+		t, err := s.trackFrom(ctx, name, digest, src, stats)
+		stats = nil // held only until this request's track is resolved
+		return t, err
 	}}
 }
 
 // digestOf memoises the content digest of a catalog clip: catalog
 // sources are immutable, so one full-decode fingerprint per name is
-// enough to key every cached artifact by content. The digest renders
-// the whole clip, so it is computed outside digestMu: one cold clip must
-// not stall lookups of clips already memoised. Two racing computes of
-// one clip yield the same string, so either insert is correct.
+// enough to key every cached artifact by content.
 func (s *Server) digestOf(name string, src core.Source) string {
+	d, _ := s.memoDigest(name, func() (string, []scene.FrameStats) { return core.SourceDigest(src), nil })
+	return d
+}
+
+// digestStats is digestOf for a client session. A cold clip's digest
+// pass also computes every frame's scene statistics from the same
+// render (core.DigestAndStats), which this session's track compute then
+// takes on instead of rendering the clip again; a memoised digest comes
+// with nil stats.
+func (s *Server) digestStats(name string, src core.Source) (string, []scene.FrameStats) {
+	return s.memoDigest(name, func() (string, []scene.FrameStats) { return core.DigestAndStats(src) })
+}
+
+// memoDigest returns name's memoised digest, or computes and memoises
+// it. The compute renders the whole clip, so it runs outside digestMu:
+// one cold clip must not stall lookups of clips already memoised. Two
+// racing computes of one clip yield the same string, so either insert
+// is correct.
+func (s *Server) memoDigest(name string, compute func() (string, []scene.FrameStats)) (string, []scene.FrameStats) {
 	s.digestMu.Lock()
 	d, ok := s.digests[name]
 	s.digestMu.Unlock()
 	if ok {
-		return d
+		return d, nil
 	}
-	d = core.SourceDigest(src)
+	d, stats := compute()
 	s.digestMu.Lock()
 	s.digests[name] = d
 	s.digestMu.Unlock()
-	return d
+	return d, stats
 }
 
 // serveAnnotated streams the annotated, compensated clip to a client,
@@ -456,43 +479,42 @@ func resumePoint(frames []*codec.EncodedFrame, req Request) (int, error) {
 // session: src encoded untouched, with no compensation and no side
 // channels (qi is unused).
 func prepareVariant(ctx context.Context, src core.Source, track *annotation.Track, qi int, cfg encodeConfig) (*variant, error) {
-	width, height := src.Size()
-	enc, err := codec.NewEncoder(width, height, cfg.GOP, cfg.QScale)
+	return buildVariant(ctx, src, track, qi, cfg, runtime.GOMAXPROCS(0))
+}
+
+// buildVariant is prepareVariant with the encode spread over at most
+// workers goroutines (see encodeGOPs). The variant does not depend on
+// workers.
+func buildVariant(ctx context.Context, src core.Source, track *annotation.Track, qi int, cfg encodeConfig, workers int) (*variant, error) {
+	n := src.TotalFrames()
+	spanName := "stream.raw_encode"
+	var targets []float64
+	if track != nil {
+		spanName = "stream.compensate_encode"
+		cursor := track.NewCursor(qi)
+		targets = make([]float64, n)
+		for i := range targets {
+			targets[i], _ = cursor.Next()
+		}
+	}
+	sp := obs.StartSpan(ctx, spanName)
+	frames, err := encodeGOPs(ctx, src, targets, cfg, workers)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	spanName := "stream.raw_encode"
-	var cursor *annotation.Cursor
-	if track != nil {
-		spanName = "stream.compensate_encode"
-		cursor = track.NewCursor(qi)
-	}
-	sp := obs.StartSpan(ctx, spanName)
-	n := src.TotalFrames()
-	frames := make([]*codec.EncodedFrame, 0, n)
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			sp.End()
-			return nil, err
-		}
-		f := src.Frame(i)
-		if cursor != nil {
-			target, _ := cursor.Next()
-			f = core.CompensateFrame(f, target, compensate.ContrastEnhancement)
-		}
-		ef, err := enc.Encode(f)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-		frames = append(frames, ef)
-	}
-	sp.End()
-	v := &variant{frames: frames}
+	return newVariant(ctx, src, track, frames)
+}
 
+// newVariant seals the encoded frames of src into a variant. With a
+// track it computes the decode-cycle and scene-byte side channels first.
+func newVariant(ctx context.Context, src core.Source, track *annotation.Track, frames []*codec.EncodedFrame) (*variant, error) {
+	v := &variant{frames: frames}
 	if track != nil {
+		width, height := src.Size()
+		n := len(frames)
 		// Decode-complexity annotations (ChunkDecodeCycles).
-		sp = obs.StartSpan(ctx, "stream.annotate_sidechannels")
+		sp := obs.StartSpan(ctx, "stream.annotate_sidechannels")
 		model := dvs.DefaultCycleModel()
 		estimates := make([]float64, n)
 		for i, ef := range frames {
@@ -522,6 +544,86 @@ func prepareVariant(ctx context.Context, src core.Source, track *annotation.Trac
 		return nil, err
 	}
 	return v, nil
+}
+
+// encodeGOPs encodes every frame of src, compensated to targets[i] when
+// targets is not nil, with GOPs in parallel on min(workers, GOPs)
+// goroutines. Frame k·GOP starts a GOP and is an I-frame, which reads no
+// reference, so a GOP's bytes do not depend on which worker encodes it
+// or when. Each worker takes the next GOP in turn, with one encoder it
+// restarts at each GOP and one frame it compensates into: src.Frame may
+// return a frame its source shares, which is never compensated in place.
+// The first failure stops the other workers, and every worker has
+// returned before encodeGOPs does; a worker's panic is re-raised here,
+// in the caller's goroutine.
+func encodeGOPs(ctx context.Context, src core.Source, targets []float64, cfg encodeConfig, workers int) ([]*codec.EncodedFrame, error) {
+	n := src.TotalFrames()
+	frames := make([]*codec.EncodedFrame, n)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		failOnce sync.Once
+		failErr  error
+		panicked any
+	)
+	fail := func(err error, p any) {
+		failOnce.Do(func() {
+			failErr, panicked = err, p
+			cancel()
+		})
+	}
+	work := func() error {
+		w, h := src.Size()
+		enc, err := codec.NewEncoder(w, h, cfg.GOP, cfg.QScale)
+		if err != nil {
+			return err
+		}
+		var comp *frame.Frame
+		if targets != nil {
+			comp = frame.New(w, h)
+		}
+		for {
+			start := int(next.Add(1)-1) * cfg.GOP
+			if start >= n {
+				return nil
+			}
+			enc.Restart()
+			for i := start; i < min(start+cfg.GOP, n); i++ {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				f := src.Frame(i)
+				if targets != nil {
+					core.CompensateFrameInto(comp, f, targets[i], compensate.ContrastEnhancement)
+					f = comp
+				}
+				if frames[i], err = enc.Encode(f); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	for range min(workers, (n+cfg.GOP-1)/cfg.GOP) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					fail(nil, p)
+				}
+			}()
+			if err := work(); err != nil {
+				fail(err, nil)
+			}
+		}()
+	}
+	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
+	return frames, failErr
 }
 
 // variantFor is the cached variant lookup: encode once per (content
