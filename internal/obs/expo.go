@@ -42,12 +42,11 @@ func (s Sample) Matches(want ...Label) bool {
 	return true
 }
 
-// Exposition is a parsed /metrics scrape: every sample plus the family
-// types declared by the TYPE comments.
+// Exposition is a parsed /metrics scrape: every sample, indexed by
+// name.
 type Exposition struct {
 	samples []Sample
-	types   map[string]string // family name -> counter|gauge|histogram
-	byName  map[string][]int  // sample name -> indexes into samples
+	byName  map[string][]int // sample name -> indexes into samples
 }
 
 // ParseExposition parses Prometheus text exposition format as the
@@ -56,10 +55,7 @@ type Exposition struct {
 // are errors — so tests that feed it a scrape body validate the
 // format for free.
 func ParseExposition(r io.Reader) (*Exposition, error) {
-	e := &Exposition{
-		types:  map[string]string{},
-		byName: map[string][]int{},
-	}
+	e := &Exposition{byName: map[string][]int{}}
 	seen := map[string]bool{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -72,11 +68,9 @@ func ParseExposition(r io.Reader) (*Exposition, error) {
 		}
 		if strings.HasPrefix(line, "#") {
 			if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
-				f := strings.Fields(rest)
-				if len(f) != 2 {
+				if len(strings.Fields(rest)) != 2 {
 					return nil, fmt.Errorf("obs: exposition line %d: malformed TYPE comment %q", lineNo, line)
 				}
-				e.types[f[0]] = f[1]
 				continue
 			}
 			if strings.HasPrefix(line, "# HELP ") {
@@ -194,15 +188,6 @@ func parseLabels(s string) ([]Label, error) {
 		}
 	}
 	return out, nil
-}
-
-// Type returns the declared TYPE of a metric family ("" when the
-// exposition carried no TYPE comment for it).
-func (e *Exposition) Type(family string) string {
-	if e == nil {
-		return ""
-	}
-	return e.types[family]
 }
 
 // Names returns every distinct sample name, sorted.

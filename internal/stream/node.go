@@ -18,6 +18,7 @@ import (
 	"repro/internal/annstore"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/frame"
 	"repro/internal/obs"
 	"repro/internal/scene"
 )
@@ -61,6 +62,8 @@ type nodeCore struct {
 	cache *anncache.Cache
 	// store, when set, is the persistent tier under the cache.
 	store *annstore.Store
+	// puts is the store writes client sessions have in flight.
+	puts storePuts
 	// annWorkers is the annotation pipeline's worker-pool size.
 	annWorkers int
 	// enc is the codec configuration variants are encoded with.
@@ -112,6 +115,18 @@ type nodeClip struct {
 	// stale marks a proxy copy served because every upstream was down.
 	stale bool
 }
+
+// memSource is a clip held in memory as frames: the proxy's decoded
+// upstream copy, or the frames a cold request's digest pass kept.
+type memSource struct {
+	w, h, fps int
+	frames    []*frame.Frame
+}
+
+func (m *memSource) Size() (int, int)         { return m.w, m.h }
+func (m *memSource) FPS() int                 { return m.fps }
+func (m *memSource) TotalFrames() int         { return len(m.frames) }
+func (m *memSource) Frame(i int) *frame.Frame { return m.frames[i] }
 
 // initCore readies the embedded substrate (called from the role
 // constructors).
@@ -200,7 +215,7 @@ func (n *nodeCore) Cluster() *cluster.Node { return n.cnode }
 // owner → compute. The clip name rides each fetch as the hint that
 // lets an owner map the one-way content digest back to its catalog.
 func (n *nodeCore) tierFor(clip string) tier {
-	return tier{cache: n.cache, store: n.store, node: n.cnode, clip: clip}
+	return tier{cache: n.cache, store: n.store, puts: &n.puts, node: n.cnode, clip: clip}
 }
 
 // peerSets returns every breaker-guarded peer set the node holds: the
@@ -317,12 +332,21 @@ func (n *nodeCore) handle(rawConn net.Conn, admitWait time.Duration) error {
 	}
 	ctx, sp := obs.StartSpanCtx(ctx, n.sessionSpan)
 	defer sp.End()
+	// The session's store writes run behind its send; it returns, and
+	// its connection closes, only once they are on disk.
+	ctx, waitPuts := deferPuts(ctx)
+	defer waitPuts()
 	sp.SetAttr("clip", req.Clip)
 	sp.SetAttr("device", req.Device)
 	if admitWait > time.Millisecond {
 		sp.SetAttr("admit_wait", admitWait.Round(time.Millisecond).String())
 	}
 	c, err := n.clips.open(ctx, req)
+	// c is not read past the call that serves it, so the frames a cold
+	// request kept can go once that call no longer needs them.
+	if c.stale {
+		sp.SetAttr("stale", "true")
+	}
 	switch {
 	case err != nil:
 		WriteError(conn, refusalText(err))
@@ -332,9 +356,6 @@ func (n *nodeCore) handle(rawConn net.Conn, admitWait time.Duration) error {
 	default:
 		sp.SetAttr("mode", "annotated")
 		err = n.serveAnnotated(ctx, conn, req, c)
-	}
-	if c.stale {
-		sp.SetAttr("stale", "true")
 	}
 	if err != nil {
 		sp.SetAttr("error", err.Error())
@@ -519,26 +540,15 @@ func (n *nodeCore) resolveArtifact(ctx context.Context, req cluster.FetchRequest
 // first use (the offline analysis step). Concurrent sessions requesting
 // an uncached clip share one pipeline run via single-flight, and in a
 // cluster the track's shard owner is asked before the pipeline runs.
+// Only a compute reads the clip's frames: on a source of kept frames
+// the pipeline renders nothing and computes the scene stats in
+// parallel.
 func (n *nodeCore) track(ctx context.Context, clip, digest string, src core.Source) (*annotation.Track, error) {
-	return n.trackFrom(ctx, clip, digest, src, nil)
-}
-
-// trackFrom is track for a clip whose per-frame scene statistics this
-// request already computed with its digest: a compute then skips the
-// pipeline's stats stage and renders no frame. With nil stats (the
-// digest was memoised) the full pipeline runs.
-func (n *nodeCore) trackFrom(ctx context.Context, clip, digest string, src core.Source, stats []scene.FrameStats) (*annotation.Track, error) {
 	v, err := n.tierFor(clip).getOrCompute(ctx,
 		anncache.Key{Kind: "track", Digest: digest, Quality: -1}, "", trackCodec,
 		func(ctx context.Context) (any, int64, error) {
-			cfg, opt := scene.DefaultConfig(src.FPS()), core.AnnotateOptions{Workers: n.annWorkers}
-			var t *annotation.Track
-			var err error
-			if stats != nil {
-				t, _, err = core.AnnotateFromStats(ctx, src.FPS(), stats, cfg, nil, opt)
-			} else {
-				t, _, err = core.AnnotatePipeline(ctx, src, cfg, nil, opt)
-			}
+			t, _, err := core.AnnotatePipeline(ctx, src, scene.DefaultConfig(src.FPS()), nil,
+				core.AnnotateOptions{Workers: n.annWorkers})
 			if err != nil {
 				return nil, 0, err
 			}

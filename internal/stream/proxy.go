@@ -397,14 +397,3 @@ func (p *Proxy) fetchRaw(ctx context.Context, addr, clip, device string, prev *p
 	}
 	return &proxyEntry{src: mem, fp: fp}, nil
 }
-
-// memSource is a decoded in-memory clip.
-type memSource struct {
-	w, h, fps int
-	frames    []*frame.Frame
-}
-
-func (m *memSource) Size() (int, int)         { return m.w, m.h }
-func (m *memSource) FPS() int                 { return m.fps }
-func (m *memSource) TotalFrames() int         { return len(m.frames) }
-func (m *memSource) Frame(i int) *frame.Frame { return m.frames[i] }

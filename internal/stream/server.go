@@ -23,7 +23,6 @@ import (
 	"repro/internal/netsched"
 	"repro/internal/obs"
 	"repro/internal/power"
-	"repro/internal/scene"
 )
 
 // DefaultCacheCapacity is the artifact-cache byte budget servers and
@@ -257,14 +256,27 @@ func (s *Server) release() {
 	}
 }
 
-// open finds a client's clip in the catalog.
+// open finds a client's clip in the catalog. A cold clip's digest pass
+// keeps the frames it rendered (core.DigestKeep), and the request reads
+// them from then on: its track, variants and raw encode render nothing
+// more, and the frames go when the request ends. A memoised digest, or
+// a clip over core.KeptFramesCap, leaves the catalog source in place.
 func (s *Server) open(ctx context.Context, req Request) (nodeClip, error) {
 	src, ok := s.catalog[req.Clip]
 	if !ok {
 		return nodeClip{}, fmt.Errorf("unknown clip %q", req.Clip)
 	}
-	digest, stats := s.digestStats(req.Clip, src)
-	return s.clip(ctx, req.Clip, digest, src, stats), nil
+	digest, frames, err := s.memoDigest(req.Clip, func() (string, []*frame.Frame, error) {
+		return core.DigestKeep(ctx, src)
+	})
+	if err != nil {
+		return nodeClip{}, err
+	}
+	if frames != nil {
+		w, h := src.Size()
+		src = &memSource{w: w, h: h, fps: src.FPS(), frames: frames}
+	}
+	return s.clip(ctx, req.Clip, digest, src), nil
 }
 
 // byDigest maps the content digest a peer's AFR1 fetch names back to a
@@ -276,23 +288,20 @@ func (s *Server) open(ctx context.Context, req Request) (nodeClip, error) {
 // its content matches.
 func (s *Server) byDigest(ctx context.Context, req cluster.FetchRequest) (nodeClip, error) {
 	if src, ok := s.catalog[req.Clip]; ok && s.digestOf(req.Clip, src) == req.Digest {
-		return s.clip(ctx, req.Clip, req.Digest, src, nil), nil
+		return s.clip(ctx, req.Clip, req.Digest, src), nil
 	}
 	for name, src := range s.catalog {
 		if s.digestOf(name, src) == req.Digest {
-			return s.clip(ctx, name, req.Digest, src, nil), nil
+			return s.clip(ctx, name, req.Digest, src), nil
 		}
 	}
 	return nodeClip{}, fmt.Errorf("%w: no catalog clip with digest %.16s", cluster.ErrNotFound, req.Digest)
 }
 
-// clip wraps a catalog clip; its track is computed on first use, from
-// stats when this request's digest pass computed them (see digestStats).
-func (s *Server) clip(ctx context.Context, name, digest string, src core.Source, stats []scene.FrameStats) nodeClip {
+// clip wraps a catalog clip; its track is computed on first use.
+func (s *Server) clip(ctx context.Context, name, digest string, src core.Source) nodeClip {
 	return nodeClip{name: name, src: src, digest: digest, track: func() (*annotation.Track, error) {
-		t, err := s.trackFrom(ctx, name, digest, src, stats)
-		stats = nil // held only until this request's track is resolved
-		return t, err
+		return s.track(ctx, name, digest, src)
 	}}
 }
 
@@ -300,36 +309,31 @@ func (s *Server) clip(ctx context.Context, name, digest string, src core.Source,
 // sources are immutable, so one full-decode fingerprint per name is
 // enough to key every cached artifact by content.
 func (s *Server) digestOf(name string, src core.Source) string {
-	d, _ := s.memoDigest(name, func() (string, []scene.FrameStats) { return core.SourceDigest(src), nil })
+	d, _, _ := s.memoDigest(name, func() (string, []*frame.Frame, error) { return core.SourceDigest(src), nil, nil })
 	return d
 }
 
-// digestStats is digestOf for a client session. A cold clip's digest
-// pass also computes every frame's scene statistics from the same
-// render (core.DigestAndStats), which this session's track compute then
-// takes on instead of rendering the clip again; a memoised digest comes
-// with nil stats.
-func (s *Server) digestStats(name string, src core.Source) (string, []scene.FrameStats) {
-	return s.memoDigest(name, func() (string, []scene.FrameStats) { return core.DigestAndStats(src) })
-}
-
 // memoDigest returns name's memoised digest, or computes and memoises
-// it. The compute renders the whole clip, so it runs outside digestMu:
-// one cold clip must not stall lookups of clips already memoised. Two
-// racing computes of one clip yield the same string, so either insert
-// is correct.
-func (s *Server) memoDigest(name string, compute func() (string, []scene.FrameStats)) (string, []scene.FrameStats) {
+// it, passing on the frames the compute kept. The compute renders the
+// whole clip, so it runs outside digestMu: one cold clip must not stall
+// lookups of clips already memoised. Two racing computes of one clip
+// yield the same string, so either insert is correct; a failed one
+// memoises nothing.
+func (s *Server) memoDigest(name string, compute func() (string, []*frame.Frame, error)) (string, []*frame.Frame, error) {
 	s.digestMu.Lock()
 	d, ok := s.digests[name]
 	s.digestMu.Unlock()
 	if ok {
-		return d, nil
+		return d, nil, nil
 	}
-	d, stats := compute()
+	d, frames, err := compute()
+	if err != nil {
+		return "", nil, err
+	}
 	s.digestMu.Lock()
 	s.digests[name] = d
 	s.digestMu.Unlock()
-	return d, stats
+	return d, frames, nil
 }
 
 // serveAnnotated streams the annotated, compensated clip to a client,
@@ -370,7 +374,11 @@ func (n *nodeCore) serveAnnotated(ctx context.Context, conn *deadlineConn, req R
 				return variantFor(ctx, t, digest, src, track, q, cfg)
 			}}
 	}
-	sent, err := send(ctx, conn, src, track, v, levels, from, lad, n.sm.framesSent, n.sm.bytesSent)
+	// Only a rung swap reads frames past this point: a fixed session
+	// holds the clip's shape, so frames its digest pass kept can go
+	// while it streams.
+	sh := shapeOf(src)
+	sent, err := send(ctx, conn, sh, track, v, levels, from, lad, n.sm.framesSent, n.sm.bytesSent)
 	if err == nil {
 		// The session streamed to completion: fold its modeled power
 		// accounting into the fleet-wide power_saved_* / session_*
@@ -378,7 +386,7 @@ func (n *nodeCore) serveAnnotated(ctx context.Context, conn *deadlineConn, req R
 		// determined by the track, device, quality index and rung
 		// switches, so the node can account savings without hearing
 		// back.
-		accountSessionPower(n.obsReg, n.role, req, src, track, qi, from, sent, lad)
+		accountSessionPower(n.obsReg, n.role, req, sh.fps, track, qi, from, sent, lad)
 	}
 	return err
 }
@@ -389,7 +397,7 @@ func (n *nodeCore) serveAnnotated(ctx context.Context, conn *deadlineConn, req R
 // power_saved_* / session_* families under the given role. For an
 // adaptive session, lad holds the mid-stream rung changes, so each
 // frame is accounted at the rung it was actually served at.
-func accountSessionPower(reg *obs.Registry, role string, req Request, src core.Source, track *annotation.Track, qi, from int, wireBytes uint64, lad *ladder) {
+func accountSessionPower(reg *obs.Registry, role string, req Request, fps int, track *annotation.Track, qi, from int, wireBytes uint64, lad *ladder) {
 	if reg == nil {
 		return
 	}
@@ -404,7 +412,7 @@ func accountSessionPower(reg *obs.Registry, role string, req Request, src core.S
 		led.SetRung(qi)
 		switches = lad.switches
 	}
-	frameSeconds := 1 / float64(src.FPS())
+	frameSeconds := 1 / float64(fps)
 	cur, next := qi, 0
 	walk := track.Walk()
 	for pos := 0; ; pos++ {
@@ -701,7 +709,7 @@ func sendWire(ctx context.Context, cw *container.Writer, v *variant, from, to in
 // body finishes, and the same figure feeds the bytesSent counter — a
 // mid-stream failure can neither double-count nor under-report what
 // reached the wire.
-func send(ctx context.Context, w io.Writer, src core.Source, track *annotation.Track, v *variant, levelsChunk []byte, from int, lad *ladder, framesSent, bytesSent *obs.Counter) (uint64, error) {
+func send(ctx context.Context, w io.Writer, src shaped, track *annotation.Track, v *variant, levelsChunk []byte, from int, lad *ladder, framesSent, bytesSent *obs.Counter) (uint64, error) {
 	spanName := "stream.send"
 	if lad != nil {
 		spanName = "stream.send_adaptive"
@@ -764,7 +772,7 @@ func send(ctx context.Context, w io.Writer, src core.Source, track *annotation.T
 // device level table when one was negotiated. FrameCount counts real
 // frames, so it holds across adaptive rung switches. The header is
 // built here rather than returned so its chunk map stays off the heap.
-func newVariantWriter(w io.Writer, src core.Source, track *annotation.Track, v *variant, levelsChunk []byte, from int) (*container.Writer, error) {
+func newVariantWriter(w io.Writer, src shaped, track *annotation.Track, v *variant, levelsChunk []byte, from int) (*container.Writer, error) {
 	width, height := src.Size()
 	hdr := container.Header{W: width, H: height, FPS: src.FPS(), FrameCount: len(v.frames) - from}
 	if track != nil {
@@ -792,10 +800,28 @@ func newVariantWriter(w io.Writer, src core.Source, track *annotation.Track, v *
 // and a failed encode sends no error frame: the fetching proxy sees a
 // broken stream and fails over.
 func (n *nodeCore) streamRaw(ctx context.Context, w io.Writer, c nodeClip) error {
-	v, err := variantFor(ctx, n.tierFor(c.name), c.digest, c.src, nil, -1, n.enc.withDefaults(c.src.FPS()))
+	sh := shapeOf(c.src)
+	v, err := variantFor(ctx, n.tierFor(c.name), c.digest, c.src, nil, -1, n.enc.withDefaults(sh.fps))
 	if err != nil {
 		return err
 	}
-	_, err = send(ctx, w, c.src, nil, v, nil, 0, nil, n.sm.framesSent, n.sm.bytesSent)
+	_, err = send(ctx, w, sh, nil, v, nil, 0, nil, n.sm.framesSent, n.sm.bytesSent)
 	return err
 }
+
+// shaped is what a stream's header reads of its clip.
+type shaped interface {
+	Size() (int, int)
+	FPS() int
+}
+
+// shape is a clip's dimensions and rate without its frames.
+type shape struct{ w, h, fps int }
+
+func shapeOf(src core.Source) shape {
+	w, h := src.Size()
+	return shape{w: w, h: h, fps: src.FPS()}
+}
+
+func (s shape) Size() (int, int) { return s.w, s.h }
+func (s shape) FPS() int         { return s.fps }

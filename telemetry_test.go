@@ -153,9 +153,8 @@ func TestDebugEndpointScrape(t *testing.T) {
 	atLeast(`anncache_misses_total{kind="track",role="proxy"}`, 1)
 	atLeast(`anncache_entries{role="server"}`, 3)
 	// Offline-pipeline stage latency histograms (server + proxy ran it).
-	// The server computes a cold clip's luma stats in its digest pass
-	// (core.DigestAndStats), so only the proxy runs the stats stage.
-	atLeast(`span_duration_seconds_count{span="annotate.luma_stats"}`, 1)
+	// Each computes its track once, and the stats stage with it.
+	atLeast(`span_duration_seconds_count{span="annotate.luma_stats"}`, 2)
 	atLeast(`span_duration_seconds_count{span="annotate.scene_detect"}`, 2)
 	atLeast(`span_duration_seconds_bucket{span="annotate.scene_detect",le="+Inf"}`, 2)
 	atLeast(`span_duration_seconds_count{span="stream.compensate_encode"}`, 1)
